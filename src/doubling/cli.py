@@ -45,17 +45,23 @@ class RunConfig:
 
 
 def _load_input(path: str) -> metric.WeightedGraph | metric.FiniteMetric:
+    """Load a graph or metric file; a malformed file is a usage error."""
+    loaders = {"graph": metric.load_graph, "metric": metric.load_metric}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             kind = line.split()[0]
-            if kind == "graph":
-                return metric.load_graph(path)
-            if kind == "metric":
-                return metric.load_metric(path)
-            raise ConfigError(f"{path}: unrecognized file header {kind!r}")
+            if kind not in loaders:
+                raise ConfigError(f"{path}: unrecognized file header {kind!r}")
+            try:
+                return loaders[kind](path)
+            except ValueError as exc:
+                msg = str(exc)
+                if not msg.startswith(f"{path}:"):
+                    msg = f"{path}: {msg}"
+                raise ConfigError(msg) from exc
     raise ConfigError(f"{path}: empty input file")
 
 

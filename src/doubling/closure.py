@@ -284,8 +284,8 @@ def long_edge_packing_witness(g: WeightedGraph, u: int, r: float) -> list[ConvPo
 
     Each returned point sits r/2 along its edge from the endpoint nearer to
     u; the set lies inside the radius-2r ball around u with pairwise
-    distances at least r − 1e−9, which certifies a dimension lower bound of
-    half the log of its size.
+    distances at least r (both up to relative tolerance ``REL_TOL``), which
+    certifies a dimension lower bound of half the log of its size.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -306,7 +306,7 @@ def long_edge_packing_witness(g: WeightedGraph, u: int, r: float) -> list[ConvPo
     for pt in points:
         if conv_distance(g, center, pt) > limit:
             raise VerificationError(f"witness point {pt} falls outside the 2r ball")
-    floor = r - 1e-9
+    floor = r * (1.0 - REL_TOL)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             d = conv_distance(g, points[i], points[j])

@@ -13,11 +13,53 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "greedy_scan",
     "greedy_ball_cover",
     "greedy_packing",
     "min_ball_cover",
     "min_cover_bitmask",
 ]
+
+
+def greedy_scan(
+    D: np.ndarray, live: np.ndarray, thresholds: np.ndarray, beat: int = 0
+) -> np.ndarray:
+    """The greedy scan behind covers and packings, run on many rows at once.
+
+    ``live[k]`` marks the points scan k may still pick. Each step picks the
+    lowest live id p of every nonempty row k and keeps live only the points
+    q with ``D[p, q] > thresholds[k]``; a row leaves the scan once it is
+    empty. Returns the picks as a (rows, steps) id array: row k holds its
+    picks in scan order, then -1 padding.
+
+    With ``beat`` > 0 a row also leaves as soon as its picks so far plus its
+    live points cannot exceed ``beat``: rows with more than ``beat`` picks
+    are complete scans, the others are cut short at no more than ``beat``.
+    """
+    live = np.array(live, dtype=bool)  # a copy: the scan clears it in place
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    rows = np.arange(live.shape[0])
+    t = thresholds[:, None]
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    while True:
+        keep = np.count_nonzero(live, axis=1) > max(0, beat - len(steps))
+        if not keep.all():
+            rows, live, t = rows[keep], live[keep], t[keep]
+            if rows.size == 0:
+                break
+        p = live.argmax(axis=1)
+        steps.append((rows, p))
+        live &= D[p] > t
+    picks = np.full((thresholds.size, len(steps)), -1, dtype=np.intp)
+    for s, (at, p) in enumerate(steps):
+        picks[at, s] = p
+    return picks
+
+
+def _members(n: int, points: np.ndarray) -> np.ndarray:
+    live = np.zeros((1, n), dtype=bool)
+    live[0, points] = True
+    return live
 
 
 def greedy_ball_cover(D: np.ndarray, universe: np.ndarray, r: float) -> list[int]:
@@ -27,34 +69,19 @@ def greedy_ball_cover(D: np.ndarray, universe: np.ndarray, r: float) -> list[int
     Deterministic, and every chosen center lies in the universe, so the
     result is always a valid (if not minimum) cover.
     """
-    centers: list[int] = []
-    uncovered = np.ones(universe.size, dtype=bool)
-    while True:
-        remaining = np.flatnonzero(uncovered)
-        if remaining.size == 0:
-            break
-        p = int(universe[remaining[0]])
-        centers.append(p)
-        uncovered &= D[p][universe] > r
-    return centers
+    return greedy_scan(D, _members(D.shape[0], universe), np.array([r]))[0].tolist()
 
 
 def greedy_packing(D: np.ndarray, ball: np.ndarray, separation: float) -> list[int]:
     """Extract a subset of ``ball`` with pairwise distance >= ``separation``.
 
     Points are scanned in ascending id; a point joins the packing iff it is
-    at least ``separation`` away from everything already kept.
+    at least ``separation`` away from everything already kept. The scan's
+    strict test runs against the largest float below ``separation``, which
+    for floats is exactly ``>= separation``.
     """
-    kept: list[int] = []
-    eligible = np.ones(ball.size, dtype=bool)
-    while True:
-        remaining = np.flatnonzero(eligible)
-        if remaining.size == 0:
-            break
-        p = int(ball[remaining[0]])
-        kept.append(p)
-        eligible &= D[p][ball] >= separation
-    return kept
+    below = np.nextafter(separation, -np.inf)
+    return greedy_scan(D, _members(D.shape[0], ball), np.array([below]))[0].tolist()
 
 
 class _Abort(Exception):

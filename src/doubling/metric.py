@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 REL_TOL = 1e-9
+
+# Entries (rows x points) per block of the batched greedy scan in the
+# dimension sweeps: a 1 MiB live mask plus an 8 MiB block of distance rows.
+SCAN_BLOCK_ELEMENTS = 1 << 20
 
 
 def _check_triangle(D: np.ndarray) -> None:
@@ -261,6 +265,40 @@ class DimensionEstimate:
         )
 
 
+def _beating_events(
+    D: np.ndarray,
+    row: np.ndarray,
+    limits: np.ndarray,
+    thresholds: np.ndarray,
+    best: Callable[[], int],
+) -> Iterator[int]:
+    """Events of one center whose greedy scan picks more than ``best()``.
+
+    ``row`` is the center's distance row and event k is the greedy scan over
+    the ball ``row <= limits[k]`` with threshold ``thresholds[k]``; limits
+    ascend, so the balls are nested. Consecutive events are scanned together
+    by :func:`cover.greedy_scan`, in blocks of at most
+    ``SCAN_BLOCK_ELEMENTS`` entries. Events whose ball has at most ``best()``
+    points are never scanned, and scans that can no longer beat ``best()``
+    are cut short. Indices come out in ascending order, each checked against
+    ``best()`` as it stands when the caller asks for the next one.
+    """
+    balls = np.searchsorted(np.sort(row), limits, side="right")
+    rows = max(1, SCAN_BLOCK_ELEMENTS // row.size)
+    hi = 0
+    while True:
+        lo = max(hi, int(np.searchsorted(balls, best(), side="right")))
+        if lo == balls.size:
+            return
+        hi = min(lo + rows, balls.size)
+        live = row[None, :] <= limits[lo:hi, None]
+        picks = cover.greedy_scan(D, live, thresholds[lo:hi], beat=best())
+        sizes = (picks >= 0).sum(axis=1)
+        for k in np.flatnonzero(sizes > best()):
+            if sizes[k] > best():
+                yield lo + int(k)
+
+
 def doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> DimensionEstimate:
     """Doubling constant of the metric: the worst number of radius-r balls
     needed to cover a ball of radius 2r, maximized over centers and radii.
@@ -272,10 +310,16 @@ def doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> DimensionEstima
     at least the minimum cover there, so the same events suffice in both
     modes.
 
-    Exact mode (n <= exact_max_n) uses branch and bound per ball, skipping
-    instances whose greedy cover is already no larger than the best exact
-    value found so far. Above the cutoff the greedy cover itself is the
-    estimate. Either way ``lambda_upper`` bounds the true constant from above.
+    The events are visited in (center, ascending radius) order. Per center,
+    one batched greedy scan sizes the covers of all its radii at once, in
+    blocks of at most ``SCAN_BLOCK_ELEMENTS`` (radii x points) entries. Only
+    an event whose greedy cover beats the best value so far is looked at
+    further: its cover is rebuilt on its own and, in exact mode
+    (n <= exact_max_n), branch and bound runs on that ball, pruned at the
+    best exact value so far. The first event to reach each new maximum
+    therefore supplies the witness, as in a one-event-at-a-time sweep.
+    Above the cutoff the greedy cover itself is the estimate. Either way
+    ``lambda_upper`` bounds the true constant from above.
     """
     n, D = m.n, m.dist
     exact = n <= exact_max_n
@@ -284,27 +328,22 @@ def doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> DimensionEstima
     witness: tuple[int, float, tuple[int, ...]] | None = None
     for x in range(n):
         row = D[x]
-        positive = np.unique(row[row > 0.0])
-        radii = positive / 2.0
-        for r in radii:
+        radii = np.unique(row[row > 0.0]) / 2.0
+        for k in _beating_events(D, row, 2.0 * radii, radii, lambda: best):
+            r = float(radii[k])
             universe = np.flatnonzero(row <= 2.0 * r)
-            if universe.size <= best:
-                continue
-            greedy = cover.greedy_ball_cover(D, universe, float(r))
+            greedy = cover.greedy_ball_cover(D, universe, r)
             if exact:
-                if len(greedy) <= best:
-                    continue
                 size, centers, aborted = cover.min_ball_cover(
-                    D, universe, float(r), greedy, prune_at=best
+                    D, universe, r, greedy, prune_at=best
                 )
                 if aborted:
                     continue
                 best = size
-                witness = (x, float(r), tuple(centers))
+                witness = (x, r, tuple(centers))
             else:
-                if len(greedy) > best:
-                    best = len(greedy)
-                    witness = (x, float(r), tuple(greedy))
+                best = len(greedy)
+                witness = (x, r, tuple(greedy))
     if best == 0:  # single point: one ball always suffices
         best, witness = 1, (0, 0.0, (0,))
     return DimensionEstimate(
@@ -332,7 +371,14 @@ def packing_lower_bound(m: FiniteMetric) -> DimensionEstimate:
     distances >= r/2; such a set needs |S| distinct balls of radius r/4, which
     two doublings must provide, so dim >= log2(|S|)/2. Radii r = d(x, p) are
     where the ball grows; r = d(x, p)/2 probes the same balls against smaller
-    separations. The best witness is re-verified by direct distance checks.
+    separations.
+
+    The events are visited in (center, ascending radius) order. Per center,
+    one batched greedy scan sizes the packings of all its radii at once, in
+    blocks of at most ``SCAN_BLOCK_ELEMENTS`` (radii x points) entries. An
+    event whose packing beats the best so far is packed again on its own,
+    re-verified by direct distance checks and becomes the witness, so the
+    first event to reach each new maximum wins.
     """
     n, D = m.n, m.dist
     best = 1
@@ -341,15 +387,13 @@ def packing_lower_bound(m: FiniteMetric) -> DimensionEstimate:
         row = D[x]
         positive = np.unique(row[row > 0.0])
         radii = np.unique(np.concatenate([positive / 2.0, positive]))
-        for r in radii:
-            ball = np.flatnonzero(row <= r)
-            if ball.size <= best:
-                continue
-            packed = cover.greedy_packing(D, ball, float(r) / 2.0)
-            if len(packed) > best:
-                _verify_packing(D, x, float(r), packed)
-                best = len(packed)
-                witness = (x, float(r), tuple(packed))
+        below = np.nextafter(radii / 2.0, -np.inf)
+        for k in _beating_events(D, row, radii, below, lambda: best):
+            r = float(radii[k])
+            packed = cover.greedy_packing(D, np.flatnonzero(row <= r), r / 2.0)
+            _verify_packing(D, x, r, packed)
+            best = len(packed)
+            witness = (x, r, tuple(packed))
     return DimensionEstimate(
         dim_lower=0.5 * math.log2(best),
         lower_witness=witness,

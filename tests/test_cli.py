@@ -163,6 +163,23 @@ class TestMain:
         src.write_text("points 3\n0 0\n1 0\n2 0\n", encoding="utf-8")
         assert main(["dim", "--input", str(src)]) == 2
 
+    @pytest.mark.parametrize(
+        "name,text,reason",
+        [
+            ("bad.metric", "metric 2\nd 0 1 abc\n", "could not convert"),
+            ("loop.graph", "graph 2\ne 0 1 1.0\ne 0 0 1.0\n", "self-loop"),
+            ("gap.metric", "metric 3\nd 0 1 1.0\nd 1 2 1.0\n", "missing distance"),
+            ("bent.metric", "metric 3\nd 0 1 1.0\nd 0 2 5.0\nd 1 2 1.0\n", "triangle"),
+        ],
+    )
+    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, name, text, reason):
+        src = tmp_path / name
+        src.write_text(text, encoding="utf-8")
+        assert main(["dim", "--input", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and reason in err
+        assert "Traceback" not in err and err.count(str(src)) == 1
+
     def test_certificate_commands(self, capsys):
         assert main(["certify-star", "--n", "4", "--epsilon", "0.25"]) == 0
         assert main(["certify-lcp", "--p", "2"]) == 0

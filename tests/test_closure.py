@@ -10,6 +10,7 @@ from doubling import (
     InvalidPoint,
     WeightedGraph,
     exponential_star,
+    random_tree,
     shortest_path_metric,
 )
 from doubling.closure import (
@@ -189,6 +190,19 @@ class TestPackingWitness:
             u, r, _ = long_edge_audit(g).witness
             for pt in long_edge_packing_witness(g, u, r):
                 assert conv_distance(g, ConvPoint.at_vertex(u), pt) <= 2.0 * r * (1 + 1e-9), name
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_rescaling_keeps_the_verdict(self, scale):
+        """The separation floor is relative: an audit witness on a random
+        tree is accepted at every scale, not just near unit lengths."""
+        for seed in range(30):
+            g = random_tree(12, seed)
+            big = WeightedGraph(g.n_vertices, [(a, b, w * scale) for a, b, w in g.edges])
+            u, r, _ = long_edge_audit(g).witness
+            su, sr, _ = long_edge_audit(big).witness
+            assert len(long_edge_packing_witness(g, u, r)) == len(
+                long_edge_packing_witness(big, su, sr)
+            ), seed
 
     def test_no_long_edges(self):
         with pytest.raises(EmptyLongEdgeSet):

@@ -1,0 +1,122 @@
+"""The batched dimension sweeps against their scalar references.
+
+``doubling_estimate`` and ``packing_lower_bound`` size every radius of a
+center with one batched greedy scan; ``oracles`` keeps the one-scan-per-event
+loops. The whole ``DimensionEstimate`` must match, mode and witnesses
+included, in exact and greedy mode and at any scan block size.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doubling import (
+    FiniteMetric,
+    WeightedGraph,
+    doubling_estimate,
+    packing_lower_bound,
+    random_euclidean,
+    random_tree,
+    shortest_path_metric,
+)
+from doubling import cover, metric
+from doubling.closure import sample_metric
+from oracles import scalar_doubling_estimate, scalar_packing_lower_bound
+
+# one row per block, a few rows per block, the module default
+BUDGETS = (1, 40, metric.SCAN_BLOCK_ELEMENTS)
+
+
+def euclidean(seed: int, n: int) -> FiniteMetric:
+    return random_euclidean(n, 1 + seed % 3, seed)
+
+
+def integer_grid(seed: int, n: int) -> FiniteMetric:
+    """Distinct points of a 4x4x4 grid under the L1 norm: many equal distances."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(64, size=n, replace=False)
+    pts = np.stack([cells // 16, (cells // 4) % 4, cells % 4], axis=1).astype(float)
+    return FiniteMetric(np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+
+
+def tree(seed: int, n: int) -> FiniteMetric:
+    return shortest_path_metric(random_tree(n, seed))
+
+
+def closure_sample(seed: int, n: int) -> FiniteMetric:
+    return sample_metric(random_tree(max(2, n // 3), seed), 1 + seed % 2)
+
+
+FAMILIES = {
+    "euclidean": euclidean,
+    "integer-grid": integer_grid,
+    "tree": tree,
+    "closure-sample": closure_sample,
+}
+
+
+def assert_matches_scalar(m: FiniteMetric, exact_max_n: int) -> None:
+    for budget in BUDGETS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "SCAN_BLOCK_ELEMENTS", budget)
+            upper = doubling_estimate(m, exact_max_n=exact_max_n)
+            lower = packing_lower_bound(m)
+        assert upper == scalar_doubling_estimate(m, exact_max_n=exact_max_n), budget
+        assert lower == scalar_packing_lower_bound(m), budget
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 18))
+def test_exact_mode_matches_scalar(family, seed, n):
+    assert_matches_scalar(FAMILIES[family](seed, n), exact_max_n=64)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40))
+def test_greedy_mode_matches_scalar(family, seed, n):
+    assert_matches_scalar(FAMILIES[family](seed, n), exact_max_n=1)
+
+
+def test_single_row_blocks_on_a_closure_sample(monkeypatch):
+    """Every block boundary falls between two radii of the same center."""
+    m = sample_metric(random_tree(12, 3), 2)
+    monkeypatch.setattr(metric, "SCAN_BLOCK_ELEMENTS", 1)
+    assert doubling_estimate(m) == scalar_doubling_estimate(m)
+    assert packing_lower_bound(m) == scalar_packing_lower_bound(m)
+
+
+def test_packing_separation_is_inclusive():
+    """Points exactly ``separation`` apart are both kept: the strict scan
+    runs against the float just below the separation."""
+    g = WeightedGraph(3, [(0, 1, 0.1), (1, 2, 0.2)])
+    D = shortest_path_metric(g).dist
+    ball = np.arange(3)
+    sep = float(D[0, 1])
+    assert cover.greedy_packing(D, ball, sep) == [0, 1, 2]
+    assert cover.greedy_packing(D, ball, np.nextafter(sep, np.inf)) == [0, 2]
+
+
+def test_greedy_scan_rows_are_independent_scans():
+    m = random_euclidean(30, 2, 5)
+    D, row = m.dist, m.dist[7]
+    limits = np.sort(row)[[3, 10, 29]]
+    live = row[None, :] <= limits[:, None]
+    before = live.copy()
+    picks = cover.greedy_scan(D, live, limits / 2.0)
+    assert np.array_equal(live, before)
+    alone = [
+        cover.greedy_ball_cover(D, np.flatnonzero(row <= limit), limit / 2.0)
+        for limit in limits
+    ]
+    assert [len(a) for a in alone] == [3, 4, 3]
+    for k in range(limits.size):
+        assert picks[k][picks[k] >= 0].tolist() == alone[k]
+    # a bar of 3 leaves the scan that beats it whole and cuts the others short
+    cut = cover.greedy_scan(D, live, limits / 2.0, beat=3)
+    assert cut[1].tolist() == alone[1]
+    for k in (0, 2):
+        got = cut[k][cut[k] >= 0].tolist()
+        assert len(got) <= 3 and got == alone[k][: len(got)]
