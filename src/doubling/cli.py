@@ -45,23 +45,25 @@ class RunConfig:
 
 
 def _load_input(path: str) -> metric.WeightedGraph | metric.FiniteMetric:
-    """Load a graph or metric file; a malformed file is a usage error."""
+    """Load a graph or metric file; a missing or malformed file is a usage error."""
     loaders = {"graph": metric.load_graph, "metric": metric.load_metric}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            kind = line.split()[0]
-            if kind not in loaders:
-                raise ConfigError(f"{path}: unrecognized file header {kind!r}")
-            try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                kind = line.split()[0]
+                if kind not in loaders:
+                    raise ConfigError(f"{path}: unrecognized file header {kind!r}")
                 return loaders[kind](path)
-            except ValueError as exc:
-                msg = str(exc)
-                if not msg.startswith(f"{path}:"):
-                    msg = f"{path}: {msg}"
-                raise ConfigError(msg) from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        msg = str(exc)
+        if not msg.startswith(f"{path}:"):
+            msg = f"{path}: {msg}"
+        raise ConfigError(msg) from exc
     raise ConfigError(f"{path}: empty input file")
 
 
@@ -310,8 +312,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     reports = []
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: a report file holds one JSON object")
         rep = RunReport(config=data.pop("config", {}))
         timings = data.pop("timings", {})
         rep.sections = list(data.items())

@@ -229,49 +229,80 @@ class AuditResult:
     per_vertex_profile: dict[int, int]
 
 
+def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoints and lengths of ``g.edges`` as three arrays, in ``g.edges`` order."""
+    table = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
+    return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+
+
 def _long_edges(g: WeightedGraph, D: np.ndarray, u: int, r: float) -> list[tuple[int, int]]:
-    out = []
-    for a, b, length in g.edges:
-        if min(float(D[u, a]), float(D[u, b])) <= r and length > r:
-            out.append((a, b))
-    return out
+    """Edges with an endpoint within ``r`` of ``u`` and length above ``r``,
+    in ``g.edges`` order: one mask, independent of the audit's scan."""
+    a, b, lengths = _edge_arrays(g)
+    mask = (np.minimum(D[u, a], D[u, b]) <= r) & (lengths > r)
+    return list(zip(a[mask].tolist(), b[mask].tolist()))
 
 
 def long_edge_audit(g: WeightedGraph) -> AuditResult:
     """Census of edges that are long relative to their distance from a vertex.
 
     An edge counts toward vertex u at radius r when its nearer endpoint is
-    within r of u but its length exceeds r. The count is piecewise constant
-    in r, so it is evaluated at every breakpoint (an endpoint distance or an
-    edge length) and at the midpoints between consecutive breakpoints.
+    within r of u (its start, ``dmin``) but its length exceeds r. The count
+    is a right-continuous step function of r; the profile holds its maximum
+    per vertex and the witness the first maximum, scanned as follows.
+
+    An edge with ``length <= dmin`` never counts, so only the active edges
+    (``length > dmin``) matter, each over ``[dmin, length)``. Edges are
+    sorted by length once; per vertex the active stops at or below r are
+    the active positions, in that order, before the first length above r.
+    Every start is the distance from u to a vertex, so ranking the vertices
+    by distance from u (one sort of n values) and keying each edge by the
+    smaller rank of its endpoints turns the starts at or below each vertex
+    distance into a cumulative ``bincount`` read at the end of that
+    distance's tie group. The count only rises at a start, so its first
+    maximum lies at the smallest vertex distance that reaches it.
+
+    This equals the first maximum over a grid of every positive breakpoint
+    (endpoint distance or edge length) and every positive midpoint between
+    consecutive breakpoints: the grid hits each step at its left
+    breakpoint, except the plateau starting at 0 (edges incident to u),
+    which it first hits at ``e1 / 2`` with ``e1`` the smallest positive
+    breakpoint. A first maximum at distance 0 is therefore reported at
+    ``e1 / 2``, and results are unchanged from that grid census.
     """
-    D = shortest_path_metric(g).dist if g.edges else None
+    if not g.edges:
+        return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
+    D = shortest_path_metric(g).dist
+    n = g.n_vertices
+    a, b, lengths = _edge_arrays(g)
+    by_length = np.argsort(lengths, kind="stable")
+    a, b, lengths = a[by_length], b[by_length], lengths[by_length]
+
     best_count = 0
     best_vertex = 0
     best_radius = 0.0
     profile: dict[int, int] = {}
-    if D is None:
-        return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
-
-    ends_a = np.array([e[0] for e in g.edges], dtype=np.intp)
-    ends_b = np.array([e[1] for e in g.edges], dtype=np.intp)
-    lengths = np.array([e[2] for e in g.edges], dtype=np.float64)
-    for u in range(g.n_vertices):
-        dmin = np.minimum(D[u, ends_a], D[u, ends_b])
-        start_sorted = np.sort(dmin)
-        stop_sorted = np.sort(np.maximum(dmin, lengths))
-        events = np.unique(np.concatenate([dmin, lengths]))
-        mids = (events[:-1] + events[1:]) / 2.0
-        radii = np.unique(np.concatenate([events[events > 0.0], mids[mids > 0.0]]))
-        counts = np.searchsorted(start_sorted, radii, side="right") - np.searchsorted(
-            stop_sorted, radii, side="right"
-        )
+    rank = np.empty(n, dtype=np.intp)
+    for u in range(n):
+        order = np.argsort(D[u], kind="stable")
+        ds = D[u, order]
+        rank[order] = np.arange(n)
+        key = np.minimum(rank[a], rank[b])  # ds[key] is each edge's dmin
+        dmin = ds[key]
+        active = np.flatnonzero(lengths > dmin)
+        # counts[i]: active starts at or below ds[i] minus active stops there
+        tie_end = np.searchsorted(ds, ds, side="right") - 1
+        starts = np.bincount(key[active], minlength=n).cumsum()[tie_end]
+        stops = np.searchsorted(active, np.searchsorted(lengths, ds, side="right"))
+        counts = starts - stops
         k = int(np.argmax(counts))
         profile[u] = int(counts[k])
         if profile[u] > best_count:
             best_count = profile[u]
             best_vertex = u
-            best_radius = float(radii[k])
+            best_radius = float(ds[k])
+            if best_radius == 0.0:
+                best_radius = float(np.min(dmin, where=dmin > 0.0, initial=lengths[0])) / 2.0
 
     witness_edges = tuple(_long_edges(g, D, best_vertex, best_radius))
     if len(witness_edges) != best_count:

@@ -10,6 +10,7 @@ re-measured.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .closure import ConvPoint, conv_distance, conv_geodesic_point
 from .completion import Completion
-from .errors import TooFewLeaves, VertexSetMismatch
+from .errors import ConfigError, TooFewLeaves, VertexSetMismatch
 from .metric import FiniteMetric, WeightedGraph
 
 __all__ = [
@@ -48,10 +49,18 @@ def lcp_metric(p: int) -> FiniteMetric:
 
     Point ids follow lexicographic string order, i.e. the integer value of
     the string. For distinct ids the exponent p − lcp is exactly the bit
-    length of their XOR.
+    length of their XOR. A dense matrix larger than the machine's physical
+    memory is refused before anything is built.
     """
     if p < 1:
         raise ValueError("need strings of positive length")
+    need = 8 * 4**p
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"lcp p = {p} needs a 2**{p} x 2**{p} distance matrix ({need} bytes), "
+            f"more than this machine's {have} bytes of memory"
+        )
     n = 1 << p
     D = np.zeros((n, n))
     for i in range(n):

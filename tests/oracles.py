@@ -7,7 +7,9 @@ correct on the small fixtures they run against.
 
 The scalar estimators are the dimension sweeps as one greedy scan per
 (center, radius) event, the reference the batched sweeps must reproduce
-bit for bit, witnesses included.
+bit for bit, witnesses included. The scalar audit is the long-edge census
+as one pair of sorts over every edge per vertex, evaluated at every
+breakpoint and midpoint: the reference the rank-count audit must match.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from doubling import DimensionEstimate, FiniteMetric, WeightedGraph, shortest_path_metric
+from doubling.closure import AuditResult
 from doubling.cover import min_ball_cover
 
 
@@ -51,6 +54,50 @@ def brute_audit_max(g: WeightedGraph) -> int:
             )
             best = max(best, count)
     return best
+
+
+def scalar_long_edges(g: WeightedGraph, D: np.ndarray, u: int, r: float) -> list[tuple[int, int]]:
+    """Edges with an endpoint within ``r`` of ``u`` and length above ``r``, one by one."""
+    out = []
+    for a, b, length in g.edges:
+        if min(float(D[u, a]), float(D[u, b])) <= r and length > r:
+            out.append((a, b))
+    return out
+
+
+def scalar_long_edge_audit(g: WeightedGraph) -> AuditResult:
+    """``long_edge_audit`` evaluated per vertex at every breakpoint (an
+    endpoint distance or an edge length) and every midpoint between
+    consecutive breakpoints, both positive, by two sorts of all edges."""
+    if not g.edges:
+        return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
+    D = shortest_path_metric(g).dist
+    best_count = 0
+    best_vertex = 0
+    best_radius = 0.0
+    profile: dict[int, int] = {}
+    ends_a = np.array([e[0] for e in g.edges], dtype=np.intp)
+    ends_b = np.array([e[1] for e in g.edges], dtype=np.intp)
+    lengths = np.array([e[2] for e in g.edges], dtype=np.float64)
+    for u in range(g.n_vertices):
+        dmin = np.minimum(D[u, ends_a], D[u, ends_b])
+        start_sorted = np.sort(dmin)
+        stop_sorted = np.sort(np.maximum(dmin, lengths))
+        events = np.unique(np.concatenate([dmin, lengths]))
+        mids = (events[:-1] + events[1:]) / 2.0
+        radii = np.unique(np.concatenate([events[events > 0.0], mids[mids > 0.0]]))
+        counts = np.searchsorted(start_sorted, radii, side="right") - np.searchsorted(
+            stop_sorted, radii, side="right"
+        )
+        k = int(np.argmax(counts))
+        profile[u] = int(counts[k])
+        if profile[u] > best_count:
+            best_count = profile[u]
+            best_vertex = u
+            best_radius = float(radii[k])
+    witness_edges = tuple(scalar_long_edges(g, D, best_vertex, best_radius))
+    assert len(witness_edges) == best_count
+    return AuditResult(best_count, (best_vertex, best_radius, witness_edges), profile)
 
 
 def exhaustive_doubling_constant(m: FiniteMetric) -> int:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from doubling import InstanceSpec, exponential_star, lcp_metric, load_graph, load_metric
@@ -179,6 +180,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {src}: ") and reason in err
         assert "Traceback" not in err and err.count(str(src)) == 1
+
+    @pytest.mark.parametrize(
+        "command", [["dim"], ["audit"], ["spanner", "--epsilon", "0.25"]]
+    )
+    def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys, command):
+        path = str(tmp_path / "nope.metric")
+        assert main(command + ["--input", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [None, "{bad", "[1]"])
+    def test_report_on_a_missing_or_malformed_file_is_a_usage_error(self, tmp_path, capsys, text):
+        path = str(tmp_path / "run.json")
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        assert main(["report", "--inputs", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+
+    def test_certify_lcp_refuses_a_matrix_beyond_memory(self, monkeypatch, capsys):
+        """p = 40 asks for 8 * 4**40 bytes; the guard refuses before any
+        distance is written."""
+        monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+        assert main(["certify-lcp", "--p", "40"]) == 2
+        assert "memory" in capsys.readouterr().err
 
     def test_certificate_commands(self, capsys):
         assert main(["certify-star", "--n", "4", "--epsilon", "0.25"]) == 0
