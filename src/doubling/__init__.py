@@ -14,6 +14,8 @@ from .closure import (
     conv_geodesic_point,
     long_edge_audit,
     long_edge_packing_witness,
+    pairwise_window,
+    point_distances,
     sample_metric,
     sample_points,
     sampled_conv_dimension,

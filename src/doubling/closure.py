@@ -9,7 +9,9 @@ and a sampled doubling-dimension estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +33,8 @@ __all__ = [
     "conv_geodesic_point",
     "long_edge_audit",
     "long_edge_packing_witness",
+    "pairwise_window",
+    "point_distances",
     "sample_points",
     "sample_metric",
     "sampled_conv_dimension",
@@ -99,24 +103,119 @@ def _exits(g: WeightedGraph, p: ConvPoint) -> list[tuple[int, float]]:
     return [(u, p.offset), (v, length - p.offset)]
 
 
-def conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
-    """Distance between two points of the closure of ``g``.
+# Distances (rows x columns) per row block when a point set is walked in
+# blocks: 512 KiB per array, so a window over thousands of points holds
+# about 1 MiB of temporaries instead of the whole pairwise matrix.
+_BLOCK_ENTRIES = 1 << 16
+
+
+class _ExitTable(NamedTuple):
+    """Per point: both exits (a vertex exits twice through itself at cost 0)
+    and an edge key, ``u * n + v`` for a point on edge (u, v) and -1 for a
+    vertex, so that points share an edge exactly when their keys match."""
+
+    a: np.ndarray
+    b: np.ndarray
+    cost_a: np.ndarray
+    cost_b: np.ndarray
+    edge: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> "_ExitTable":
+        return _ExitTable(*(column[lo:hi] for column in self))
+
+
+def _exit_table(g: WeightedGraph, pts: Sequence[ConvPoint]) -> _ExitTable:
+    n = len(pts)
+    a = np.empty(n, dtype=np.intp)
+    b = np.empty(n, dtype=np.intp)
+    cost_a = np.zeros(n)
+    cost_b = np.zeros(n)
+    edge = np.full(n, -1, dtype=np.int64)
+    for i, p in enumerate(pts):
+        _check_point(g, p)
+        if p.is_vertex:
+            a[i] = b[i] = p.vertex  # type: ignore[assignment]
+        else:
+            u, v = p.edge  # type: ignore[misc]
+            a[i], b[i] = u, v
+            cost_a[i] = p.offset
+            cost_b[i] = g.edge_length(u, v) - p.offset
+            edge[i] = u * g.n_vertices + v
+    return _ExitTable(a, b, cost_a, cost_b, edge)
+
+
+def _distance_block(D: np.ndarray, p: _ExitTable, q: _ExitTable) -> np.ndarray:
+    """Closure distances from every point of ``p`` to every point of ``q``:
+    the cheapest ``cost_p + D[a, b] + cost_q`` over the four exit pairs,
+    or the straight offset difference for two points on one edge. Sums are
+    taken in place, so a block holds two arrays of its size at a time."""
+    out = D[np.ix_(p.a, q.a)]
+    out += p.cost_a[:, None]
+    out += q.cost_a
+    for pa, pc, qa, qc in (
+        (p.a, p.cost_a, q.b, q.cost_b),
+        (p.b, p.cost_b, q.a, q.cost_a),
+        (p.b, p.cost_b, q.b, q.cost_b),
+    ):
+        term = D[np.ix_(pa, qa)]
+        term += pc[:, None]
+        term += qc
+        np.minimum(out, term, out=out)
+    same = (p.edge[:, None] == q.edge) & (p.edge[:, None] >= 0)
+    if same.any():
+        np.subtract(p.cost_a[:, None], q.cost_a, out=term)
+        np.minimum(out, np.abs(term, out=term), out=out, where=same)
+    return out
+
+
+def point_distances(
+    g: WeightedGraph, P: Sequence[ConvPoint], Q: Sequence[ConvPoint]
+) -> np.ndarray:
+    """The |P| x |Q| matrix of closure distances from ``P`` to ``Q``.
 
     Both points leave their edges through either endpoint and travel along
     graph shortest paths; points sharing an edge may also connect straight
-    through its interior.
+    through its interior. Entry (i, j) is exactly ``conv_distance(g, P[i],
+    Q[j])``; it can differ from entry (j, i) of the swapped call in the last
+    bit, because the exit costs are added in the other order.
     """
-    _check_point(g, p)
-    _check_point(g, q)
+    tp, tq = _exit_table(g, P), _exit_table(g, Q)
     D = shortest_path_metric(g).dist
-    if p.is_vertex and q.is_vertex:
-        return float(D[p.vertex, q.vertex])
-    best = min(
-        cp + float(D[a, b]) + cq for a, cp in _exits(g, p) for b, cq in _exits(g, q)
-    )
-    if not p.is_vertex and p.edge == q.edge:
-        best = min(best, abs(p.offset - q.offset))
-    return best
+    out = np.empty((len(P), len(Q)))
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(Q)))
+    for lo in range(0, len(P), rows):
+        out[lo : lo + rows] = _distance_block(D, tp.rows(lo, lo + rows), tq)
+    return out
+
+
+def _pair_blocks(g: WeightedGraph, pts: Sequence[ConvPoint]) -> Iterator[tuple[int, np.ndarray]]:
+    """The pairs i < j of ``pts`` in blocks of at most ``_BLOCK_ENTRIES``
+    distances: ``(lo, block)`` with ``block[r, c]`` the distance between
+    points ``lo + r`` and ``lo + 1 + c``, and NaN where that is not a pair."""
+    table = _exit_table(g, pts)
+    D = shortest_path_metric(g).dist
+    n = len(pts)
+    rows = max(1, _BLOCK_ENTRIES // max(1, n))
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n - 1)
+        block = _distance_block(D, table.rows(lo, hi), table.rows(lo + 1, n))
+        block[np.tri(hi - lo, n - lo - 1, -1, dtype=bool)] = np.nan
+        yield lo, block
+
+
+def pairwise_window(g: WeightedGraph, pts: Sequence[ConvPoint]) -> tuple[float, float]:
+    """Smallest and largest closure distance over the pairs of ``pts``
+    ((0.0, 0.0) for fewer than two points)."""
+    lo, hi = math.inf, 0.0
+    for _, block in _pair_blocks(g, pts):
+        lo, hi = min(lo, float(np.nanmin(block))), max(hi, float(np.nanmax(block)))
+    return (lo, hi) if len(pts) > 1 else (0.0, 0.0)
+
+
+def conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
+    """Distance between two points of the closure of ``g``: one entry of
+    :func:`point_distances`."""
+    return float(point_distances(g, [p], [q])[0, 0])
 
 
 @dataclass
@@ -130,27 +229,40 @@ class _Route:
 
 
 def _lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int, ...]:
-    """Lexicographically smallest shortest vertex path from a to b."""
+    """Lexicographically smallest shortest vertex path from a to b.
+
+    A step from x to w must be tight, ``cost + D[w, b]`` equal to
+    ``D[x, b]`` within tolerance, and must not revisit the path. Tightness
+    is read from the distances to b rather than from a running remainder,
+    whose rounding error on a long route exceeds the tolerance of the short
+    distances near b. Near a long edge the tolerance can exceed the
+    shortest edges, so a step back or aside may pass as well: the walk is
+    depth first, smallest neighbour first, backs out of the dead end such a
+    step leads into and never enters a dead vertex again, so every vertex
+    leaves the path at most once.
+    """
     adjacency = g.adjacency()
     path = [a]
-    current = a
-    remaining = float(D[a, b])
-    done_tol = REL_TOL * max(1.0, float(D[a, b]))
-    for _ in range(g.n_vertices + 1):
-        if current == b and remaining <= done_tol:
+    choices = [iter(adjacency[a])]
+    on_path = {a}
+    dead: set[int] = set()
+    while path:
+        current = path[-1]
+        if current == b:
             return tuple(path)
-        tol = REL_TOL * max(1.0, remaining)
-        step = None
-        for w, cost in adjacency[current]:
-            if abs(cost + float(D[w, b]) - remaining) <= tol:
-                step = (w, cost)
+        left = float(D[current, b])
+        tol = REL_TOL * max(1.0, left)
+        for w, cost in choices[-1]:
+            if w not in on_path and w not in dead and abs(cost + float(D[w, b]) - left) <= tol:
+                path.append(w)
+                choices.append(iter(adjacency[w]))
+                on_path.add(w)
                 break
-        if step is None:
-            raise AssertionError(f"no feasible step from {current} toward {b}")
-        path.append(step[0])
-        current = step[0]
-        remaining -= step[1]
-    raise AssertionError(f"shortest-path walk from {a} to {b} did not terminate")
+        else:
+            dead.add(current)
+            on_path.discard(path.pop())
+            choices.pop()
+    raise AssertionError(f"no shortest-path walk from {a} reaches {b}")
 
 
 def _entry_piece(g: WeightedGraph, q: ConvPoint, b: int) -> tuple[int, int, float, float]:
@@ -332,19 +444,19 @@ def long_edge_packing_witness(g: WeightedGraph, u: int, r: float) -> list[ConvPo
         x = r / 2.0 if near_is_a else length - r / 2.0
         points.append(ConvPoint.on_edge(a, b, x))
 
-    center = ConvPoint.at_vertex(u)
-    limit = 2.0 * r * (1.0 + REL_TOL)
-    for pt in points:
-        if conv_distance(g, center, pt) > limit:
-            raise VerificationError(f"witness point {pt} falls outside the 2r ball")
+    radial = point_distances(g, [ConvPoint.at_vertex(u)], points)[0]
+    outside = np.flatnonzero(radial > 2.0 * r * (1.0 + REL_TOL))
+    if outside.size:
+        raise VerificationError(f"witness point {points[outside[0]]} falls outside the 2r ball")
     floor = r * (1.0 - REL_TOL)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = conv_distance(g, points[i], points[j])
-            if d < floor:
-                raise VerificationError(
-                    f"witness points {points[i]} and {points[j]} are only {d!r} apart"
-                )
+    for lo, block in _pair_blocks(g, points):
+        close = block < floor  # NaN (not a pair) compares False
+        if close.any():
+            row, col = np.unravel_index(np.argmax(close), close.shape)
+            raise VerificationError(
+                f"witness points {points[lo + row]} and {points[lo + 1 + col]} "
+                f"are only {float(block[row, col])!r} apart"
+            )
     return points
 
 
@@ -362,32 +474,7 @@ def sample_points(g: WeightedGraph, samples_per_edge: int) -> list[ConvPoint]:
 def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:
     """Closure distances over :func:`sample_points`, as a finite metric."""
     pts = sample_points(g, samples_per_edge)
-    D = shortest_path_metric(g).dist
-
-    n = len(pts)
-    exit_a = np.zeros(n, dtype=np.intp)
-    exit_b = np.zeros(n, dtype=np.intp)
-    cost_a = np.zeros(n)
-    cost_b = np.zeros(n)
-    eid = np.full(n, -1, dtype=np.intp)
-    edge_index = {(u, v): k for k, (u, v, _) in enumerate(g.edges)}
-    for i, p in enumerate(pts):
-        if p.is_vertex:
-            exit_a[i] = exit_b[i] = p.vertex  # type: ignore[assignment]
-        else:
-            u, v = p.edge  # type: ignore[misc]
-            exit_a[i], exit_b[i] = u, v
-            cost_a[i] = p.offset
-            cost_b[i] = g.edge_length(u, v) - p.offset
-            eid[i] = edge_index[(u, v)]
-
-    out = D[np.ix_(exit_a, exit_a)] + cost_a[:, None] + cost_a[None, :]
-    np.minimum(out, D[np.ix_(exit_a, exit_b)] + cost_a[:, None] + cost_b[None, :], out=out)
-    np.minimum(out, D[np.ix_(exit_b, exit_a)] + cost_b[:, None] + cost_a[None, :], out=out)
-    np.minimum(out, D[np.ix_(exit_b, exit_b)] + cost_b[:, None] + cost_b[None, :], out=out)
-    same = (eid[:, None] == eid[None, :]) & (eid[:, None] >= 0)
-    direct = np.abs(cost_a[:, None] - cost_a[None, :])
-    out[same] = np.minimum(out[same], direct[same])
+    out = point_distances(g, pts, pts)
     out = np.minimum(out, out.T)
     np.fill_diagonal(out, 0.0)
     return FiniteMetric(out, validate=False)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .closure import ConvPoint, conv_distance, conv_geodesic_point
+from .closure import ConvPoint, conv_geodesic_point, pairwise_window, point_distances
 from .completion import Completion
 from .errors import ConfigError, TooFewLeaves, VertexSetMismatch
-from .metric import FiniteMetric, WeightedGraph
+from .metric import REL_TOL, FiniteMetric, WeightedGraph
 
 __all__ = [
     "InstanceSpec",
@@ -62,10 +62,10 @@ def lcp_metric(p: int) -> FiniteMetric:
             f"more than this machine's {have} bytes of memory"
         )
     n = 1 << p
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = float(1 << (i ^ j).bit_length())
+    ids = np.arange(n)
+    # frexp's exponent of a positive integer below 2**53 is its bit length
+    D = np.ldexp(1.0, np.frexp(ids[:, None] ^ ids)[1])
+    np.fill_diagonal(D, 0.0)
     return FiniteMetric(D)
 
 
@@ -162,8 +162,9 @@ def star_lb_certificate(c: Completion, eps: float) -> PackingCertificate:
     """Unit-distance points toward the smallest leaves of a completed star.
 
     Walks distance 1 from the center toward leaf i for
-    i = 1..floor(log2(1/(2 eps))) and verifies the landed points stay inside
-    the radius-2 ball with pairwise distances in [1 − 1e−9, 2 + 1e−9]. The
+    i = 1..floor(log2(1/(2 eps))) and verifies the landed points sit at
+    distance 1 from the center with pairwise distances in [1, 2], both up to
+    relative tolerance ``REL_TOL``, so they lie inside the radius-2 ball. The
     packing size therefore certifies a dimension lower bound that grows with
     log log(1/eps), however small eps gets.
     """
@@ -179,21 +180,11 @@ def star_lb_certificate(c: Completion, eps: float) -> PackingCertificate:
         conv_geodesic_point(g, center, ConvPoint.at_vertex(i), 1.0)
         for i in range(1, k + 1)
     )
-    ok = True
-    for pt in points:
-        if not abs(conv_distance(g, center, pt) - 1.0) <= 1e-9:
-            ok = False
-        if conv_distance(g, center, pt) > 2.0 + 1e-9:
-            ok = False
-    lo, hi = math.inf, 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = conv_distance(g, points[i], points[j])
-            lo, hi = min(lo, d), max(hi, d)
-    if len(points) > 1 and not (1.0 - 1e-9 <= lo and hi <= 2.0 + 1e-9):
-        ok = False
-    if len(points) <= 1:
-        lo, hi = 0.0, 0.0
+    radial = point_distances(g, [center], points)[0]
+    lo, hi = pairwise_window(g, points)
+    ok = bool(np.all(np.abs(radial - 1.0) <= REL_TOL)) and (
+        len(points) <= 1 or (lo >= 1.0 - REL_TOL and hi <= 2.0 * (1.0 + REL_TOL))
+    )
     return PackingCertificate(
         center=0,
         points=points,
@@ -265,16 +256,10 @@ def crossing_midpoint_packing(h: WeightedGraph, p: int) -> PackingCertificate:
             if h.has_edge(x, y):
                 points.append(ConvPoint.on_edge(x, y, offset))
     pts = tuple(points)
-    lo, hi = math.inf, 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = conv_distance(h, pts[i], pts[j])
-            lo, hi = min(lo, d), max(hi, d)
-    if len(pts) <= 1:
-        lo, hi = 0.0, 0.0
+    lo, hi = pairwise_window(h, pts)
     floor = float(1 << p)
     ok = len(pts) > 0 and (
-        len(pts) == 1 or (lo >= floor - 1e-9 and hi <= 2.0 * lo + 1e-9)
+        len(pts) == 1 or (lo >= floor * (1.0 - REL_TOL) and hi <= 2.0 * lo * (1.0 + REL_TOL))
     )
     return PackingCertificate(
         center=0,

@@ -43,17 +43,20 @@ REL_TOL = 1e-9
 SCAN_BLOCK_ELEMENTS = 1 << 20
 
 
-def _check_triangle(D: np.ndarray) -> None:
+def _triangle_violation(D: np.ndarray) -> tuple[int, int, str] | None:
+    """The first pair (i < j) whose distance exceeds a two-hop route, with
+    the message that reports it; None when the triangle inequality holds."""
     n = D.shape[0]
     for k in range(n):
         via = D[:, k, None] + D[None, k, :]
         bad = D > via * (1.0 + REL_TOL)
         if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(
+            i, j = np.argwhere(bad)[0]  # bad is symmetric, so i < j
+            return int(i), int(j), (
                 f"triangle inequality fails: d({i},{j})={D[i, j]!r} > "
                 f"d({i},{k})+d({k},{j})={via[i, j]!r}"
             )
+    return None
 
 
 class FiniteMetric:
@@ -82,8 +85,8 @@ class FiniteMetric:
                 raise ValueError("off-diagonal distances must be positive")
             if not np.isfinite(off).all():
                 raise ValueError("distances must be finite")
-        if validate:
-            _check_triangle(D)
+        if validate and (violation := _triangle_violation(D)) is not None:
+            raise ValueError(violation[2])
         D = np.ascontiguousarray(D)
         D.setflags(write=False)
         self.dist = D
@@ -456,11 +459,23 @@ def verify_stretch(
 # ---------------------------------------------------------------------------
 
 
-def _data_lines(handle: TextIO) -> Iterable[list[str]]:
-    for raw in handle:
+def _data_lines(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of every line that is not blank or a comment."""
+    for number, raw in enumerate(handle, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line.split()
+            yield number, line.split()
+
+
+def _header(path: str, lines: Iterator[tuple[int, list[str]]], kind: str) -> tuple[int, int]:
+    """(line number, n) of the ``<kind> <n>`` header that must open the file."""
+    try:
+        at, head = next(lines)
+    except StopIteration:
+        raise ValueError(f"{path}:1: empty {kind} file") from None
+    if len(head) != 2 or head[0] != kind or not head[1].isdecimal() or int(head[1]) < 1:
+        raise ValueError(f"{path}:{at}: expected '{kind} <n>' header with n >= 1")
+    return at, int(head[1])
 
 
 def save_metric(m: FiniteMetric, path: str) -> None:
@@ -473,30 +488,34 @@ def save_metric(m: FiniteMetric, path: str) -> None:
 
 
 def load_metric(path: str) -> FiniteMetric:
+    """Read a file written by :func:`save_metric`; every ``ValueError`` reads
+    ``path:line: reason``."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = iter(_data_lines(fh))
-        try:
-            head = next(lines)
-        except StopIteration:
-            raise ValueError(f"{path}: empty metric file") from None
-        if len(head) != 2 or head[0] != "metric":
-            raise ValueError(f"{path}: expected 'metric <n>' header")
-        n = int(head[1])
+        lines = _data_lines(fh)
+        at, n = _header(path, lines, "metric")
         D = np.zeros((n, n))
-        filled = np.zeros((n, n), dtype=bool)
-        for parts in lines:
-            if parts[0] != "d" or len(parts) != 4:
-                raise ValueError(f"{path}: bad record {' '.join(parts)!r}")
-            i, j, value = int(parts[1]), int(parts[2]), float(parts[3])
-            if not (0 <= i < j < n):
-                raise ValueError(f"{path}: pair ({i},{j}) out of order or range")
-            D[i, j] = D[j, i] = value
-            filled[i, j] = True
-        iu = np.triu_indices(n, k=1)
-        if not filled[iu].all():
-            i, j = np.argwhere(np.triu(~filled, k=1))[0]
-            raise ValueError(f"{path}: missing distance for pair ({i},{j})")
-    return FiniteMetric(D)
+        line_of = np.zeros((n, n), dtype=np.int64)  # 0: pair not given yet
+        try:
+            for at, parts in lines:
+                if parts[0] != "d" or len(parts) != 4:
+                    raise ValueError(f"bad record {' '.join(parts)!r}")
+                i, j, value = int(parts[1]), int(parts[2]), float(parts[3])
+                if not (0 <= i < j < n):
+                    raise ValueError(f"pair ({i},{j}) out of order or range")
+                if not (value > 0.0 and math.isfinite(value)):
+                    raise ValueError(f"pair ({i},{j}) needs a positive finite distance")
+                D[i, j] = D[j, i] = value
+                line_of[i, j] = at
+            missing = np.argwhere(np.triu(line_of == 0, k=1))
+            if missing.size:
+                raise ValueError("missing distance for pair ({},{})".format(*missing[0]))
+            violation = _triangle_violation(D)
+            if violation is not None:
+                at = int(line_of[violation[0], violation[1]])
+                raise ValueError(violation[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{at}: {exc}") from None
+    return FiniteMetric(D, validate=False)
 
 
 def save_graph(g: WeightedGraph, path: str) -> None:
@@ -508,26 +527,29 @@ def save_graph(g: WeightedGraph, path: str) -> None:
 
 
 def _parse_graph_lines(
-    path: str, lines: Iterable[list[str]], extra_kinds: tuple[str, ...] = ()
+    path: str, lines: Iterable[tuple[int, list[str]]], extra_kinds: tuple[str, ...] = ()
 ) -> tuple[WeightedGraph, dict[str, list[list[str]]]]:
     lines = iter(lines)
-    try:
-        head = next(lines)
-    except StopIteration:
-        raise ValueError(f"{path}: empty graph file") from None
-    if len(head) != 2 or head[0] != "graph":
-        raise ValueError(f"{path}: expected 'graph <n>' header")
-    n = int(head[1])
-    edges: list[tuple[int, int, float]] = []
+    at, n = _header(path, lines, "graph")
     extras: dict[str, list[list[str]]] = {kind: [] for kind in extra_kinds}
-    for parts in lines:
-        if parts[0] == "e" and len(parts) == 4:
-            edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-        elif parts[0] in extras:
-            extras[parts[0]].append(parts[1:])
-        else:
-            raise ValueError(f"{path}: bad record {' '.join(parts)!r}")
-    return WeightedGraph(n, edges), extras
+
+    def edges() -> Iterator[tuple[int, int, float]]:
+        nonlocal at
+        for at, parts in lines:
+            if parts[0] == "e" and len(parts) == 4:
+                yield int(parts[1]), int(parts[2]), float(parts[3])
+            elif parts[0] in extras:
+                extras[parts[0]].append(parts[1:])
+            else:
+                raise ValueError(f"bad record {' '.join(parts)!r}")
+
+    # WeightedGraph takes the edges one at a time and rejects the first bad
+    # one, so `at` is then the line of the record at fault.
+    try:
+        graph = WeightedGraph(n, edges())
+    except ValueError as exc:
+        raise ValueError(f"{path}:{at}: {exc}") from None
+    return graph, extras
 
 
 def load_graph(path: str) -> WeightedGraph:

@@ -10,6 +10,10 @@ The scalar estimators are the dimension sweeps as one greedy scan per
 bit for bit, witnesses included. The scalar audit is the long-edge census
 as one pair of sorts over every edge per vertex, evaluated at every
 breakpoint and midpoint: the reference the rank-count audit must match.
+
+The scalar closure distance is the four-exit formula one pair at a time, the
+reference the blocked ``closure.point_distances`` must reproduce exactly;
+the certificate and witness oracles walk their pairs with it in nested loops.
 """
 
 from __future__ import annotations
@@ -19,9 +23,17 @@ import math
 
 import numpy as np
 
-from doubling import DimensionEstimate, FiniteMetric, WeightedGraph, shortest_path_metric
-from doubling.closure import AuditResult
+from doubling import (
+    REL_TOL,
+    DimensionEstimate,
+    FiniteMetric,
+    VerificationError,
+    WeightedGraph,
+    shortest_path_metric,
+)
+from doubling.closure import AuditResult, ConvPoint
 from doubling.cover import min_ball_cover
+from doubling.instances import PackingCertificate
 
 
 def brute_audit_max(g: WeightedGraph) -> int:
@@ -216,3 +228,101 @@ def scalar_packing_lower_bound(m: FiniteMetric) -> DimensionEstimate:
             if len(packed) > best:
                 best, witness = len(packed), (x, float(r), tuple(packed))
     return DimensionEstimate(dim_lower=0.5 * math.log2(best), lower_witness=witness)
+
+
+def _scalar_exits(g: WeightedGraph, p: ConvPoint) -> list[tuple[int, float]]:
+    if p.is_vertex:
+        return [(p.vertex, 0.0)]  # type: ignore[list-item]
+    u, v = p.edge  # type: ignore[misc]
+    return [(u, p.offset), (v, g.edge_length(u, v) - p.offset)]
+
+
+def scalar_conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
+    """Closure distance of one pair: the cheapest ``cost_p + D[a, b] +
+    cost_q`` over the exits of both points, or the straight offset
+    difference when they share an edge."""
+    D = shortest_path_metric(g).dist
+    if p.is_vertex and q.is_vertex:
+        return float(D[p.vertex, q.vertex])
+    best = min(
+        cp + float(D[a, b]) + cq
+        for a, cp in _scalar_exits(g, p)
+        for b, cq in _scalar_exits(g, q)
+    )
+    if not p.is_vertex and p.edge == q.edge:
+        best = min(best, abs(p.offset - q.offset))
+    return best
+
+
+def scalar_pair_window(g: WeightedGraph, pts) -> tuple[float, float]:
+    """(min, max) of ``scalar_conv_distance`` over the pairs i < j; (0, 0)
+    for fewer than two points."""
+    if len(pts) <= 1:
+        return 0.0, 0.0
+    lo, hi = math.inf, 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = scalar_conv_distance(g, pts[i], pts[j])
+            lo, hi = min(lo, d), max(hi, d)
+    return lo, hi
+
+
+def scalar_crossing_midpoint_packing(h: WeightedGraph, p: int) -> PackingCertificate:
+    """``crossing_midpoint_packing`` with one scalar distance per pair."""
+    n, half = 1 << p, 1 << (p - 1)
+    pts = tuple(
+        ConvPoint.on_edge(x, y, float(half))
+        for x in range(half)
+        for y in range(half, n)
+        if h.has_edge(x, y)
+    )
+    lo, hi = scalar_pair_window(h, pts)
+    ok = len(pts) > 0 and (
+        len(pts) == 1
+        or (lo >= float(n) * (1.0 - REL_TOL) and hi <= 2.0 * lo * (1.0 + REL_TOL))
+    )
+    return PackingCertificate(
+        center=0,
+        points=pts,
+        ball_radius=hi,
+        min_pairwise=lo,
+        max_pairwise=hi,
+        dim_lower=0.5 * math.log2(len(pts)) if ok and pts else 0.0,
+        ok=ok,
+    )
+
+
+def scalar_packing_witness(
+    g: WeightedGraph, u: int, r: float, rel_tol: float = REL_TOL
+) -> list[ConvPoint]:
+    """``long_edge_packing_witness`` with one scalar distance per pair,
+    raising the same error at the first point or pair out of bounds."""
+    D = shortest_path_metric(g).dist
+    points = []
+    for a, b in scalar_long_edges(g, D, u, r):
+        da, db = float(D[u, a]), float(D[u, b])
+        near_is_a = da < db or (da == db and a < b)
+        x = r / 2.0 if near_is_a else g.edge_length(a, b) - r / 2.0
+        points.append(ConvPoint.on_edge(a, b, x))
+    center = ConvPoint.at_vertex(u)
+    for pt in points:
+        if scalar_conv_distance(g, center, pt) > 2.0 * r * (1.0 + rel_tol):
+            raise VerificationError(f"witness point {pt} falls outside the 2r ball")
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = scalar_conv_distance(g, points[i], points[j])
+            if d < r * (1.0 - rel_tol):
+                raise VerificationError(
+                    f"witness points {points[i]} and {points[j]} are only {d!r} apart"
+                )
+    return points
+
+
+def bit_length_lcp_matrix(p: int) -> np.ndarray:
+    """The prefix metric's matrix, ``2 ** bit_length(i ^ j)`` pair by pair."""
+    n = 1 << p
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = float(1 << (i ^ j).bit_length())
+    return D

@@ -165,20 +165,23 @@ class TestMain:
         assert main(["dim", "--input", str(src)]) == 2
 
     @pytest.mark.parametrize(
-        "name,text,reason",
+        "name,text,reason,line",
         [
-            ("bad.metric", "metric 2\nd 0 1 abc\n", "could not convert"),
-            ("loop.graph", "graph 2\ne 0 1 1.0\ne 0 0 1.0\n", "self-loop"),
-            ("gap.metric", "metric 3\nd 0 1 1.0\nd 1 2 1.0\n", "missing distance"),
-            ("bent.metric", "metric 3\nd 0 1 1.0\nd 0 2 5.0\nd 1 2 1.0\n", "triangle"),
+            ("bad.metric", "metric 2\nd 0 1 abc\n", "could not convert", 2),
+            ("loop.graph", "graph 2\ne 0 1 1.0\ne 0 0 1.0\n", "self-loop", 3),
+            ("gap.metric", "metric 3\nd 0 1 1.0\nd 1 2 1.0\n", "missing distance", 3),
+            ("bent.metric", "metric 3\nd 0 1 1.0\nd 0 2 5.0\nd 1 2 1.0\n", "triangle", 3),
+            ("neg.metric", "# two points\nmetric 2\n\nd 0 1 -1.0\n", "positive finite", 4),
+            ("head.graph", "\ngraph two\ne 0 1 1.0\n", "header", 2),
+            ("twice.graph", "graph 3\ne 0 1 1.0 # first\ne 1 2 1.0\ne 1 0 2.0\n", "duplicate", 4),
         ],
     )
-    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, name, text, reason):
+    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, name, text, reason, line):
         src = tmp_path / name
         src.write_text(text, encoding="utf-8")
         assert main(["dim", "--input", str(src)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {src}: ") and reason in err
+        assert err.startswith(f"error: {src}:{line}: ") and reason in err
         assert "Traceback" not in err and err.count(str(src)) == 1
 
     @pytest.mark.parametrize(
