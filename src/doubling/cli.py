@@ -49,14 +49,12 @@ def _load_input(path: str) -> metric.WeightedGraph | metric.FiniteMetric:
     loaders = {"graph": metric.load_graph, "metric": metric.load_metric}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                kind = line.split()[0]
-                if kind not in loaders:
-                    raise ConfigError(f"{path}: unrecognized file header {kind!r}")
-                return loaders[kind](path)
+            kind = next((parts[0] for _, parts in metric._data_lines(fh)), None)
+        if kind is None:
+            raise ConfigError(f"{path}: empty input file")
+        if kind not in loaders:
+            raise ConfigError(f"{path}: unrecognized file header {kind!r}")
+        return loaders[kind](path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
@@ -64,7 +62,6 @@ def _load_input(path: str) -> metric.WeightedGraph | metric.FiniteMetric:
         if not msg.startswith(f"{path}:"):
             msg = f"{path}: {msg}"
         raise ConfigError(msg) from exc
-    raise ConfigError(f"{path}: empty input file")
 
 
 def _resolve(config: RunConfig) -> metric.WeightedGraph | metric.FiniteMetric:
@@ -335,14 +332,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-_PIPELINE_OF_COMMAND = {
-    "spanner": "spanner",
-    "complete-tree": "complete-tree",
-    "audit": "audit-only",
-    "dim": "dim",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -351,33 +340,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
 
-        if args.command in _PIPELINE_OF_COMMAND:
-            config = RunConfig(
-                pipeline=_PIPELINE_OF_COMMAND[args.command],
-                input_path=args.input,
-                epsilon=getattr(args, "epsilon", None),
-                samples_per_edge=args.samples_per_edge,
-                exact_max_n=args.exact_dim_max_n,
-                output=args.output,
-            )
-        elif args.command == "certify-star":
-            config = RunConfig(
-                pipeline="certify-star",
-                instance=instances.InstanceSpec(family="exponential-star", n=args.n),
-                epsilon=args.epsilon,
-                samples_per_edge=args.samples_per_edge,
-                exact_max_n=args.exact_dim_max_n,
-                output=args.output,
-            )
-        else:
-            config = RunConfig(
-                pipeline="certify-lcp",
-                instance=instances.InstanceSpec(family="lcp-hypercube", p=args.p),
-                epsilon=args.epsilon,
-                samples_per_edge=args.samples_per_edge,
-                exact_max_n=args.exact_dim_max_n,
-                output=args.output,
-            )
+        instance = None
+        if args.command == "certify-star":
+            instance = instances.InstanceSpec(family="exponential-star", n=args.n)
+        elif args.command == "certify-lcp":
+            instance = instances.InstanceSpec(family="lcp-hypercube", p=args.p)
+        config = RunConfig(
+            pipeline="audit-only" if args.command == "audit" else args.command,
+            instance=instance,
+            input_path=getattr(args, "input", None),
+            epsilon=getattr(args, "epsilon", None),
+            samples_per_edge=args.samples_per_edge,
+            exact_max_n=args.exact_dim_max_n,
+            output=args.output,
+        )
         report, passed = run(config)
         sys.stdout.write(report.render_text())
         if config.output:

@@ -20,6 +20,9 @@ from .metric import (
     FiniteMetric,
     StretchReport,
     WeightedGraph,
+    _data_lines,
+    _parse_graph_lines,
+    _write_graph,
     shortest_path_metric,
     verify_stretch,
 )
@@ -178,9 +181,7 @@ def verify_completion(
 def save_completion(c: Completion, path: str) -> None:
     """Graph lines plus ``scale``, ``meta``, ``tail`` and ``lift`` records."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"graph {c.output.n_vertices}\n")
-        for u, v, w in c.output.edges:
-            fh.write(f"e {u} {v} {w!r}\n")
+        _write_graph(fh, c.output)
         fh.write(f"scale {c.scale!r}\n")
         fh.write(f"meta {c.n_original} {int(c.input_is_tree)}\n")
         for (u, j), new in sorted(c.tail_index.items()):
@@ -190,21 +191,29 @@ def save_completion(c: Completion, path: str) -> None:
 
 
 def load_completion(path: str) -> Completion:
-    from .metric import _data_lines, _parse_graph_lines
-
+    """Read a file written by :func:`save_completion`; every ``ValueError``
+    reads ``path:line: reason``."""
     with open(path, "r", encoding="utf-8") as fh:
-        graph, extras = _parse_graph_lines(
+        graph, extras, last = _parse_graph_lines(
             path, _data_lines(fh), extra_kinds=("scale", "meta", "tail", "lift")
         )
-    if len(extras["scale"]) != 1 or len(extras["meta"]) != 1:
-        raise ValueError(f"{path}: expected exactly one scale and one meta record")
-    scale = float(extras["scale"][0][0])
-    n_original, tree_flag = (int(x) for x in extras["meta"][0])
-    tail_index = {
-        (int(u), int(j)): int(new) for u, j, new in extras["tail"]
-    }
-    lifted = {
-        (int(u), int(v)): (int(a), int(b), int(level))
-        for u, v, level, a, b in extras["lift"]
-    }
+    at = last
+    rows: dict[str, list[list]] = {}
+    try:
+        for kind in ("scale", "meta"):
+            if len(extras[kind]) != 1:
+                at = extras[kind][1][0] if extras[kind] else last
+                raise ValueError(f"expected exactly one {kind} record")
+        for kind, arity in (("scale", 1), ("meta", 2), ("tail", 3), ("lift", 5)):
+            rows[kind] = []
+            for at, parts in extras[kind]:
+                if len(parts) != arity:
+                    raise ValueError(f"bad {kind} record {' '.join(parts)!r}")
+                rows[kind].append([float(x) if kind == "scale" else int(x) for x in parts])
+    except ValueError as exc:
+        raise ValueError(f"{path}:{at}: {exc}") from None
+    ((scale,),) = rows["scale"]
+    ((n_original, tree_flag),) = rows["meta"]
+    tail_index = {(u, j): new for u, j, new in rows["tail"]}
+    lifted = {(u, v): (a, b, level) for u, v, level, a, b in rows["lift"]}
     return Completion(graph, tail_index, lifted, scale, n_original, bool(tree_flag))

@@ -49,8 +49,9 @@ def lcp_metric(p: int) -> FiniteMetric:
 
     Point ids follow lexicographic string order, i.e. the integer value of
     the string. For distinct ids the exponent p − lcp is exactly the bit
-    length of their XOR. A dense matrix larger than the machine's physical
-    memory is refused before anything is built.
+    length of their XOR. The result is an ultrametric of exact powers of
+    two, so the triangle check is skipped. A dense matrix larger than the
+    machine's physical memory is refused before anything is built.
     """
     if p < 1:
         raise ValueError("need strings of positive length")
@@ -66,11 +67,12 @@ def lcp_metric(p: int) -> FiniteMetric:
     # frexp's exponent of a positive integer below 2**53 is its bit length
     D = np.ldexp(1.0, np.frexp(ids[:, None] ^ ids)[1])
     np.fill_diagonal(D, 0.0)
-    return FiniteMetric(D)
+    return FiniteMetric(D, validate=False)
 
 
 def random_euclidean(n: int, ambient_dim: int, seed: int) -> FiniteMetric:
-    """Uniform points in the unit cube; plain Euclidean distances."""
+    """Uniform points in the unit cube; plain Euclidean distances, a metric
+    by construction, so the triangle check is skipped."""
     if n < 1:
         raise ValueError("need at least one point")
     if ambient_dim < 1:
@@ -79,7 +81,7 @@ def random_euclidean(n: int, ambient_dim: int, seed: int) -> FiniteMetric:
     pts = rng.random((n, ambient_dim))
     if n == 1:
         return FiniteMetric(np.zeros((1, 1)))
-    return FiniteMetric(squareform(pdist(pts)))
+    return FiniteMetric(squareform(pdist(pts)), validate=False)
 
 
 def random_tree(n: int, seed: int) -> WeightedGraph:

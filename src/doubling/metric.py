@@ -521,17 +521,24 @@ def load_metric(path: str) -> FiniteMetric:
 def save_graph(g: WeightedGraph, path: str) -> None:
     """Write ``graph <n>`` followed by one ``e <u> <v> <length>`` per edge."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"graph {g.n_vertices}\n")
-        for u, v, w in g.edges:
-            fh.write(f"e {u} {v} {w!r}\n")
+        _write_graph(fh, g)
+
+
+def _write_graph(fh: TextIO, g: WeightedGraph) -> None:
+    """The ``graph``/``e`` lines of every file that holds a graph."""
+    fh.write(f"graph {g.n_vertices}\n")
+    for u, v, w in g.edges:
+        fh.write(f"e {u} {v} {w!r}\n")
 
 
 def _parse_graph_lines(
     path: str, lines: Iterable[tuple[int, list[str]]], extra_kinds: tuple[str, ...] = ()
-) -> tuple[WeightedGraph, dict[str, list[list[str]]]]:
+) -> tuple[WeightedGraph, dict[str, list[tuple[int, list[str]]]], int]:
+    """The graph, the ``(line, fields)`` of each record of an extra kind, and
+    the number of the last line read."""
     lines = iter(lines)
     at, n = _header(path, lines, "graph")
-    extras: dict[str, list[list[str]]] = {kind: [] for kind in extra_kinds}
+    extras: dict[str, list[tuple[int, list[str]]]] = {kind: [] for kind in extra_kinds}
 
     def edges() -> Iterator[tuple[int, int, float]]:
         nonlocal at
@@ -539,7 +546,7 @@ def _parse_graph_lines(
             if parts[0] == "e" and len(parts) == 4:
                 yield int(parts[1]), int(parts[2]), float(parts[3])
             elif parts[0] in extras:
-                extras[parts[0]].append(parts[1:])
+                extras[parts[0]].append((at, parts[1:]))
             else:
                 raise ValueError(f"bad record {' '.join(parts)!r}")
 
@@ -549,10 +556,10 @@ def _parse_graph_lines(
         graph = WeightedGraph(n, edges())
     except ValueError as exc:
         raise ValueError(f"{path}:{at}: {exc}") from None
-    return graph, extras
+    return graph, extras, at
 
 
 def load_graph(path: str) -> WeightedGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        g, _ = _parse_graph_lines(path, _data_lines(fh))
+        g, _, _ = _parse_graph_lines(path, _data_lines(fh))
     return g

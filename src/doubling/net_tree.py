@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .errors import LevelOutOfRange, UnknownPoint
-from .metric import REL_TOL, FiniteMetric, greedy_net
+from .metric import REL_TOL, FiniteMetric, _data_lines, greedy_net
 
 __all__ = [
     "tau_for",
     "check_eps",
-    "NetTreeNode",
     "NetTree",
     "ValidationReport",
     "build_net_tree",
@@ -43,46 +42,44 @@ def tau_for(eps: float) -> int:
     return 6 + math.ceil(math.log2(1.0 / eps))
 
 
-@dataclass
-class NetTreeNode:
-    label: int
-    parent: int | None  # index into the level above; None only at the top
-
-
 class NetTree:
-    """Levels of nodes plus the scale that took the metric to net units.
+    """Per-level nets and parent links plus the scale that took the metric to
+    net units.
 
-    ``levels[i]`` lists the nodes of level i in ascending label order;
+    ``nets[i]`` holds the labels of level i in ascending order; level 0 is
+    every point 0..n-1. ``parents[i][k]`` is the position in ``nets[i + 1]``
+    of the parent of node k of level i, and -1 at the top. ``istar[v]`` is
+    the highest level whose net contains v (-1 if none does), and
     ``scaled_dist`` is the rescaled distance matrix the nets were built on.
     """
 
-    def __init__(self, levels: list[list[NetTreeNode]], scale: float, scaled_dist: np.ndarray) -> None:
-        self.levels = levels
+    def __init__(
+        self,
+        nets: Sequence[Sequence[int]],
+        parents: Sequence[Sequence[int]],
+        scale: float,
+        scaled_dist: np.ndarray,
+    ) -> None:
+        self.nets = [np.asarray(net, dtype=np.intp) for net in nets]
+        self.parents = [np.asarray(up, dtype=np.intp) for up in parents]
         self.scale = scale
         self.scaled_dist = scaled_dist
-        self._index: list[dict[int, int]] = [
-            {node.label: k for k, node in enumerate(level)} for level in levels
-        ]
-        self._istar: dict[int, int] = {}
-        for i, level in enumerate(levels):
-            for node in level:
-                self._istar[node.label] = i
+        self.istar = np.full(scaled_dist.shape[0], -1, dtype=np.intp)
+        for i, net in enumerate(self.nets):
+            self.istar[net] = i
 
     @property
     def n_points(self) -> int:
-        return len(self.levels[0])
+        return len(self.nets[0])
 
     @property
     def top_level(self) -> int:
-        return len(self.levels) - 1
+        return len(self.nets) - 1
 
     def labels(self, i: int) -> list[int]:
         if not 0 <= i <= self.top_level:
             raise LevelOutOfRange(f"level {i} outside [0, {self.top_level}]")
-        return [node.label for node in self.levels[i]]
-
-    def node_index(self, i: int, label: int) -> int:
-        return self._index[i][label]
+        return self.nets[i].tolist()
 
     @staticmethod
     def radius(i: int) -> float:
@@ -100,59 +97,49 @@ def build_net_tree(m: FiniteMetric, eps: float) -> NetTree:
     tau = tau_for(eps)
     n = m.n
     if n == 1:
-        scaled = np.zeros((1, 1))
-        return NetTree([[NetTreeNode(0, None)]], 1.0, scaled)
+        return NetTree([[0]], [[-1]], 1.0, np.zeros((1, 1)))
     scale = 2.0**tau / m.min_distance()
     scaled = m.dist * scale
     scaled.setflags(write=False)
     sm = FiniteMetric(scaled, validate=False)
 
-    levels = [[NetTreeNode(p, None) for p in range(n)]]
-    current = list(range(n))
+    nets = [np.arange(n)]
+    parents = []
     i = 0
-    while len(current) > 1:
+    while nets[-1].size > 1:
         i += 1
         r = NetTree.radius(i)
-        kept = greedy_net(sm, r, points=current)
-        kept_set = set(kept)
-        next_level = [NetTreeNode(label, None) for label in kept]
-        index = {label: k for k, label in enumerate(kept)}
-        for node in levels[-1]:
-            if node.label in kept_set:
-                node.parent = index[node.label]
-            else:
-                for q in kept:  # ascending, so the first hit is the lowest id
-                    if scaled[node.label, q] <= r:
-                        node.parent = index[q]
-                        break
-                else:  # pragma: no cover - greedy guarantees coverage
-                    raise AssertionError(f"label {node.label} uncovered at level {i}")
-        levels.append(next_level)
-        current = kept
-    return NetTree(levels, scale, scaled)
+        kept = np.asarray(greedy_net(sm, r, points=nets[-1]), dtype=np.intp)
+        # Kept labels are more than r apart, so a survivor's only hit is
+        # itself; anything else takes the first (lowest-id) kept label in reach.
+        hits = scaled[np.ix_(nets[-1], kept)] <= r
+        if not hits.any(axis=1).all():  # pragma: no cover - greedy guarantees coverage
+            raise AssertionError(f"a label is uncovered at level {i}")
+        parents.append(hits.argmax(axis=1))
+        nets.append(kept)
+    parents.append(np.full(1, -1))
+    return NetTree(nets, parents, scale, scaled)
 
 
 def istar(t: NetTree, v: int) -> int:
     """Highest level whose net still contains the point ``v``."""
-    try:
-        return t._istar[v]
-    except KeyError:
-        raise UnknownPoint(f"point {v} is not a leaf of this net-tree") from None
+    if not 0 <= v < t.istar.size or t.istar[v] < 0:
+        raise UnknownPoint(f"point {v} is not a leaf of this net-tree")
+    return int(t.istar[v])
 
 
 def level_ancestor_label(t: NetTree, v: int, i: int) -> int:
-    """Label of the level-i ancestor of the leaf ``v``."""
-    if v not in t._index[0]:
+    """Label of the level-i ancestor of the leaf ``v`` (at level-0 position v)."""
+    if not 0 <= v < t.n_points:
         raise UnknownPoint(f"point {v} is not a leaf of this net-tree")
     if not 0 <= i <= t.top_level:
         raise LevelOutOfRange(f"level {i} outside [0, {t.top_level}]")
-    idx = t._index[0][v]
+    idx = v
     for level in range(i):
-        parent = t.levels[level][idx].parent
-        if parent is None:  # pragma: no cover - only the top lacks a parent
+        idx = t.parents[level][idx]
+        if idx < 0:  # pragma: no cover - only the top lacks a parent
             raise LevelOutOfRange(f"node at level {level} has no parent")
-        idx = parent
-    return t.levels[i][idx].label
+    return int(t.nets[i][idx])
 
 
 @dataclass(frozen=True)
@@ -167,93 +154,92 @@ def validate_net_tree(t: NetTree, m: FiniteMetric) -> ValidationReport:
     n = m.n
     S = m.dist * t.scale
 
-    leaf_labels = sorted(node.label for node in t.levels[0])
+    leaf_labels = sorted(t.nets[0].tolist())
     if leaf_labels != list(range(n)):
         return ValidationReport(False, "leaf bijection", f"leaf labels {leaf_labels} != 0..{n - 1}")
 
     for i in range(1, t.top_level + 1):
-        children: dict[int, list[int]] = {}
-        for node in t.levels[i - 1]:
-            if node.parent is None:
-                return ValidationReport(False, "parent missing", f"level {i - 1} node {node.label}")
-            if not 0 <= node.parent < len(t.levels[i]):
-                return ValidationReport(False, "parent index", f"level {i - 1} node {node.label}")
-            children.setdefault(node.parent, []).append(node.label)
+        below, above, up = t.nets[i - 1], t.nets[i], t.parents[i - 1]
+        bad = np.flatnonzero((up < 0) | (up >= above.size))
+        if bad.size:
+            k = bad[0]
+            clause = "parent missing" if up[k] == -1 else "parent index"
+            return ValidationReport(False, clause, f"level {i - 1} node {below[k]}")
         r = NetTree.radius(i)
-        for k, node in enumerate(t.levels[i]):
-            if node.label not in children.get(k, []):
-                return ValidationReport(
-                    False, "same-label child", f"level {i} node {node.label} has no child with its label"
-                )
-        for node in t.levels[i - 1]:
-            parent_label = t.levels[i][node.parent].label
-            if S[node.label, parent_label] > r * (1.0 + REL_TOL):
-                return ValidationReport(
-                    False,
-                    "parent distance",
-                    f"level {i - 1} node {node.label} is {S[node.label, parent_label]!r} from parent "
-                    f"{parent_label}, over r={r!r}",
-                )
+        has_own = np.zeros(above.size, dtype=bool)
+        has_own[up[below == above[up]]] = True
+        if not has_own.all():
+            label = above[np.argmin(has_own)]
+            return ValidationReport(
+                False, "same-label child", f"level {i} node {label} has no child with its label"
+            )
+        far = np.flatnonzero(S[below, above[up]] > r * (1.0 + REL_TOL))
+        if far.size:
+            a, b = below[far[0]], above[up[far[0]]]
+            return ValidationReport(
+                False,
+                "parent distance",
+                f"level {i - 1} node {a} is {S[a, b]!r} from parent {b}, over r={r!r}",
+            )
 
-        labels = t.labels(i)
-        below = set(t.labels(i - 1))
-        if not set(labels) <= below:
+        if not np.isin(above, below).all():
             return ValidationReport(False, "nesting", f"level {i} labels not a subset of level {i - 1}")
-        for a_pos, a in enumerate(labels):
-            for b in labels[a_pos + 1 :]:
-                if S[a, b] < r * (1.0 - REL_TOL):
-                    return ValidationReport(
-                        False, "packing", f"level {i} labels {a},{b} at {S[a, b]!r} < r={r!r}"
-                    )
-        label_set = set(labels)
-        for a in below:
-            if a in label_set:
-                continue
-            if min(S[a, b] for b in labels) > r * (1.0 + REL_TOL):
-                return ValidationReport(
-                    False, "covering", f"level {i - 1} label {a} not within r={r!r} of level {i}"
-                )
+        close = np.argwhere(np.triu(S[np.ix_(above, above)] < r * (1.0 - REL_TOL), k=1))
+        if close.size:
+            a, b = above[close[0]]
+            return ValidationReport(False, "packing", f"level {i} labels {a},{b} at {S[a, b]!r} < r={r!r}")
+        rest = np.setdiff1d(below, above)
+        uncovered = np.flatnonzero(S[np.ix_(rest, above)].min(axis=1, initial=np.inf) > r * (1.0 + REL_TOL))
+        if uncovered.size:
+            return ValidationReport(
+                False, "covering", f"level {i - 1} label {rest[uncovered[0]]} not within r={r!r} of level {i}"
+            )
 
-    if len(t.levels[-1]) != 1:
-        return ValidationReport(False, "root", f"top level has {len(t.levels[-1])} nodes")
+    if t.nets[-1].size != 1:
+        return ValidationReport(False, "root", f"top level has {t.nets[-1].size} nodes")
     return ValidationReport(True)
 
 
 def save_net_tree(t: NetTree, path: str) -> None:
     """Write a ``nettree`` header plus one line per node."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"nettree {len(t.levels)} {t.scale!r}\n")
-        for i, level in enumerate(t.levels):
-            for k, node in enumerate(level):
-                parent = "-" if node.parent is None else str(node.parent)
-                fh.write(f"node {i} {k} {node.label} {parent}\n")
+        fh.write(f"nettree {len(t.nets)} {t.scale!r}\n")
+        for i, (net, up) in enumerate(zip(t.nets, t.parents)):
+            for k, (label, parent) in enumerate(zip(net.tolist(), up.tolist())):
+                fh.write(f"node {i} {k} {label} {'-' if parent < 0 else parent}\n")
 
 
 def load_net_tree(path: str, m: FiniteMetric) -> NetTree:
-    """Read a net-tree saved by :func:`save_net_tree` over the metric ``m``."""
+    """Read a net-tree saved by :func:`save_net_tree` over the metric ``m``;
+    every ``ValueError`` reads ``path:line: reason``."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _records(fh)
-        head = next(lines, None)
-        if head is None or head[0] != "nettree" or len(head) != 3:
-            raise ValueError(f"{path}: expected 'nettree <levels> <scale>' header")
-        n_levels, scale = int(head[1]), float(head[2])
-        levels: list[list[NetTreeNode]] = [[] for _ in range(n_levels)]
-        for parts in lines:
-            if parts[0] != "node" or len(parts) != 5:
-                raise ValueError(f"{path}: bad record {' '.join(parts)!r}")
-            level, index, label = int(parts[1]), int(parts[2]), int(parts[3])
-            parent = None if parts[4] == "-" else int(parts[4])
-            if not 0 <= level < n_levels:
-                raise ValueError(f"{path}: level {level} out of range")
-            if index != len(levels[level]):
-                raise ValueError(f"{path}: node indices must appear in order")
-            levels[level].append(NetTreeNode(label, parent))
-    scaled = m.dist * scale
-    return NetTree(levels, scale, scaled)
-
-
-def _records(handle: TextIO) -> Iterable[list[str]]:
-    for raw in handle:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line.split()
+        lines = _data_lines(fh)
+        try:
+            at, head = next(lines, (1, []))
+            if len(head) != 3 or head[0] != "nettree" or not head[1].isdecimal() or int(head[1]) < 1:
+                raise ValueError("expected 'nettree <levels> <scale>' header with levels >= 1")
+            n_levels, scale = int(head[1]), float(head[2])
+            if not (scale > 0.0 and math.isfinite(scale)):
+                raise ValueError(f"scale {head[2]!r} is not positive and finite")
+            nets: list[list[int]] = [[] for _ in range(n_levels)]
+            parents: list[list[int]] = [[] for _ in range(n_levels)]
+            for at, parts in lines:
+                if parts[0] != "node" or len(parts) != 5:
+                    raise ValueError(f"bad record {' '.join(parts)!r}")
+                level, index, label = int(parts[1]), int(parts[2]), int(parts[3])
+                parent = -1 if parts[4] == "-" else int(parts[4])
+                if not 0 <= level < n_levels:
+                    raise ValueError(f"level {level} out of range")
+                if index != len(nets[level]):
+                    raise ValueError("node indices must appear in order")
+                if not 0 <= label < m.n:
+                    raise ValueError(f"label {label} outside the metric's points 0..{m.n - 1}")
+                if level == 0 and label != index:
+                    raise ValueError(f"level 0 must list the points 0..{m.n - 1} in order")
+                nets[level].append(label)
+                parents[level].append(parent)
+            if len(nets[0]) != m.n:
+                raise ValueError(f"level 0 has {len(nets[0])} of the metric's {m.n} points")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{at}: {exc}") from None
+    return NetTree(nets, parents, scale, m.dist * scale)

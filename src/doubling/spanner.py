@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,10 +20,13 @@ from .metric import (
     FiniteMetric,
     StretchReport,
     WeightedGraph,
+    _data_lines,
+    _parse_graph_lines,
+    _write_graph,
     shortest_path_metric,
     verify_stretch,
 )
-from .net_tree import NetTree, build_net_tree, check_eps, istar
+from .net_tree import NetTree, build_net_tree, check_eps
 
 __all__ = [
     "cover_constant",
@@ -53,19 +56,21 @@ def donation_threshold(eps: float) -> int:
 class SpannerEdge:
     """One spanner edge, kept directed for bookkeeping.
 
-    ``u`` is the tail (kind "A" there by construction), ``v`` the head,
-    whose kind is "B" for an untouched in-edge or "C" for a donated one.
-    A donated edge records the donor vertex; its originating pair is then
-    (u, donor), which still determines the level bracket.
+    ``u`` is the tail and ``v`` the head. An untouched in-edge has no donor
+    and kind "B"; a donated one (kind "C") records the donor vertex, and its
+    originating pair is then (u, donor), which still determines the level
+    bracket.
     """
 
     u: int
     v: int
     length: float
     level: int
-    kind_u: str
-    kind_v: str
     donor: int | None = None
+
+    @property
+    def kind_v(self) -> str:
+        return "B" if self.donor is None else "C"
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -91,36 +96,31 @@ def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[list[t
     """Level-indexed candidate edge sets (index 0 is empty).
 
     E_i holds the pairs of level-i net labels within cover_constant * 2**i
-    in the rescaled metric, minus everything that appeared at lower levels.
-    Every fresh pair is asserted to fall in the half-open length bracket
-    (C * 2**(i-1), C * 2**i]: nets are nested, so anything shorter was
-    already eligible one level down.
+    in the rescaled metric, minus everything that appeared at lower levels,
+    in ascending pair order. Every fresh pair is asserted to fall in the
+    half-open length bracket (C * 2**(i-1), C * 2**i]: nets are nested, so
+    anything shorter was already eligible one level down.
     """
     check_eps(eps)
     if t.n_points != m.n:
         raise ValueError("net-tree and metric disagree on the point count")
     C = cover_constant(eps)
-    S = t.scaled_dist
-    seen: set[tuple[int, int]] = set()
+    rows, cols = np.triu_indices(m.n, k=1)
+    dist = t.scaled_dist[rows, cols]
     sets: list[list[tuple[int, int]]] = [[]]
     for i in range(1, t.top_level + 1):
-        ids = np.asarray(t.labels(i), dtype=np.intp)
-        limit = C * NetTree.radius(i)
-        block = S[np.ix_(ids, ids)]
-        rows, cols = np.nonzero(np.triu(block <= limit, k=1))
-        fresh: list[tuple[int, int]] = []
-        for a_pos, b_pos in zip(rows.tolist(), cols.tolist()):
-            pair = (int(ids[a_pos]), int(ids[b_pos]))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            d = S[pair]
-            if not (C * NetTree.radius(i - 1) < d <= limit):
-                raise AssertionError(
-                    f"edge {pair} of scaled length {d!r} outside the level-{i} bracket"
-                )
-            fresh.append(pair)
-        sets.append(fresh)
+        member = np.zeros(m.n, dtype=bool)
+        member[t.nets[i]] = True
+        hit = member[rows] & member[cols] & (dist <= C * NetTree.radius(i))
+        short = np.flatnonzero(hit & (dist <= C * NetTree.radius(i - 1)))
+        if short.size:
+            k = short[0]
+            raise AssertionError(
+                f"edge {(int(rows[k]), int(cols[k]))} of scaled length {dist[k]!r} "
+                f"outside the level-{i} bracket"
+            )
+        sets.append(list(zip(rows[hit].tolist(), cols[hit].tolist())))
+        rows, cols, dist = rows[~hit], cols[~hit], dist[~hit]
     return sets
 
 
@@ -133,12 +133,13 @@ def assign_directions(
     """
     directed: list[tuple[int, int, int]] = []
     for level, pairs in enumerate(edge_sets):
-        for a, b in sorted(pairs):
-            # a < b, so on an istar tie the larger id b is the head
-            if istar(t, a) > istar(t, b):
-                directed.append((b, a, level))
-            else:
-                directed.append((a, b, level))
+        if not pairs:
+            continue
+        a, b = np.array(sorted(pairs), dtype=np.intp).T
+        # a < b, so on an istar tie the larger id b is the head
+        flip = t.istar[a] > t.istar[b]
+        tails, heads = np.where(flip, b, a).tolist(), np.where(flip, a, b).tolist()
+        directed += [(tail, head, level) for tail, head in zip(tails, heads)]
     return directed
 
 
@@ -155,41 +156,44 @@ def donate_edges(
     rank j hands every edge {y, x} to the lowest-id tail u of the rank
     (j - m0) group, re-measured to d(y, u). Groups are taken from the
     original direction assignment only, so donated edges are never
-    reprocessed and the per-vertex passes are independent.
+    reprocessed and the per-vertex passes are independent. A pair made more
+    than once keeps its first record in (head, level, tail) order; every
+    record of a pair has the pair's distance as its length, so that is also
+    the shortest.
     """
     check_eps(eps)
     m0 = donation_threshold(eps)
-    D = m.dist
-    by_head: dict[int, dict[int, list[int]]] = {}
-    out_records: list[SpannerEdge] = []
-    for tail, head, level in directed:
-        by_head.setdefault(head, {}).setdefault(level, []).append(tail)
+    tail, head, level = np.array(list(directed), dtype=np.intp).reshape(-1, 3).T
+    order = np.lexsort((tail, level, head))
+    tail, head, level = tail[order], head[order], level[order]
 
-    for x in sorted(by_head):
-        groups = sorted(by_head[x])
-        for rank, level in enumerate(groups, start=1):
-            tails = sorted(by_head[x][level])
-            if rank <= m0:
-                for y in tails:
-                    out_records.append(
-                        SpannerEdge(y, x, float(D[y, x]), level, "A", "B")
-                    )
-            else:
-                target_level = groups[rank - 1 - m0]
-                u = min(by_head[x][target_level])
-                for y in tails:
-                    out_records.append(
-                        SpannerEdge(y, u, float(D[y, u]), level, "A", "C", donor=x)
-                    )
+    # a group is a run of equal (head, level); its rank counts from the
+    # first group of its head, and its lowest tail sits at its start
+    head_start = np.diff(head, prepend=-1) != 0
+    group_start = head_start | (np.diff(level, prepend=-1) != 0)
+    group = np.cumsum(group_start) - 1
+    first = np.maximum.accumulate(np.where(head_start, group, 0))
+    donated = group - first >= m0
+    starts = np.flatnonzero(group_start)
+    target = np.where(donated, tail[starts[np.maximum(group - m0, 0)]], head)
+    donor = np.where(donated, head, -1)
+    length = m.dist[tail, target]
 
-    merged: dict[tuple[int, int], SpannerEdge] = {}
-    for rec in out_records:
-        prev = merged.get(rec.pair)
-        if prev is None or rec.length < prev.length:
-            merged[rec.pair] = rec
-    records = tuple(merged[pair] for pair in sorted(merged))
-
-    graph = WeightedGraph(m.n, [(r.pair[0], r.pair[1], r.length) for r in records])
+    # the stable sort keeps each pair's first record at the front of its run
+    lo, hi = np.minimum(tail, target), np.maximum(tail, target)
+    keep = np.lexsort((hi, lo))
+    keep = keep[(np.diff(lo[keep], prepend=-1) != 0) | (np.diff(hi[keep], prepend=-1) != 0)]
+    records = tuple(
+        SpannerEdge(u, v, w, lv, None if d < 0 else d)
+        for u, v, w, lv, d in zip(
+            tail[keep].tolist(),
+            target[keep].tolist(),
+            length[keep].tolist(),
+            level[keep].tolist(),
+            donor[keep].tolist(),
+        )
+    )
+    graph = WeightedGraph(m.n, [(*r.pair, r.length) for r in records])
     max_degree = max(graph.degrees(), default=0)
     return Spanner(graph, records, eps, net_tree, max_degree)
 
@@ -214,41 +218,43 @@ def build_spanner(m: FiniteMetric, eps: float) -> Spanner:
 def save_spanner(s: Spanner, path: str) -> None:
     """Graph lines plus one ``meta`` sidecar line per directed edge record."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"graph {s.graph.n_vertices}\n")
-        for u, v, w in s.graph.edges:
-            fh.write(f"e {u} {v} {w!r}\n")
+        _write_graph(fh, s.graph)
         for rec in s.edges:
             donor = "-" if rec.donor is None else str(rec.donor)
             fh.write(f"meta {rec.u} {rec.v} level={rec.level} kind={rec.kind_v} donor={donor}\n")
 
 
 def load_spanner(path: str, eps: float) -> Spanner:
-    """Rebuild a spanner record set saved by :func:`save_spanner`.
+    """Rebuild a spanner record set saved by :func:`save_spanner`; every
+    ``ValueError`` reads ``path:line: reason``.
 
     The net-tree is not persisted, so the loaded spanner carries None there
     and no stretch report.
     """
-    from .metric import _data_lines, _parse_graph_lines
-
     with open(path, "r", encoding="utf-8") as fh:
-        graph, extras = _parse_graph_lines(path, _data_lines(fh), extra_kinds=("meta",))
+        graph, extras, _ = _parse_graph_lines(path, _data_lines(fh), extra_kinds=("meta",))
     records: list[SpannerEdge] = []
-    for parts in extras["meta"]:
-        if len(parts) != 5:
-            raise ValueError(f"{path}: bad meta record {' '.join(parts)!r}")
-        u, v = int(parts[0]), int(parts[1])
-        fields = dict(item.split("=", 1) for item in parts[2:])
-        donor = None if fields["donor"] == "-" else int(fields["donor"])
-        records.append(
-            SpannerEdge(
-                u,
-                v,
-                graph.edge_length(u, v),
-                int(fields["level"]),
-                "A",
-                fields["kind"],
-                donor=donor,
-            )
-        )
+    for at, parts in extras["meta"]:
+        try:
+            records.append(_meta_record(graph, parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{at}: {exc}") from None
     max_degree = max(graph.degrees(), default=0)
     return Spanner(graph, tuple(records), eps, None, max_degree)
+
+
+def _meta_record(graph: WeightedGraph, parts: list[str]) -> SpannerEdge:
+    """The edge record of one ``meta <u> <v> level=<i> kind=<B|C> donor=<x|->`` line."""
+    if len(parts) != 5 or not all("=" in item for item in parts[2:]):
+        raise ValueError(f"bad meta record {' '.join(parts)!r}")
+    u, v = int(parts[0]), int(parts[1])
+    if not graph.has_edge(u, v):
+        raise ValueError(f"meta ({u},{v}) names no edge of the graph")
+    fields = dict(item.split("=", 1) for item in parts[2:])
+    if sorted(fields) != ["donor", "kind", "level"]:
+        raise ValueError("a meta record needs level=, kind= and donor=")
+    donor = None if fields["donor"] == "-" else int(fields["donor"])
+    rec = SpannerEdge(u, v, graph.edge_length(u, v), int(fields["level"]), donor)
+    if fields["kind"] != rec.kind_v:
+        raise ValueError(f"kind={fields['kind']} disagrees with donor={fields['donor']}")
+    return rec

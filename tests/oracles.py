@@ -14,6 +14,11 @@ breakpoint and midpoint: the reference the rank-count audit must match.
 The scalar closure distance is the four-exit formula one pair at a time, the
 reference the blocked ``closure.point_distances`` must reproduce exactly;
 the certificate and witness oracles walk their pairs with it in nested loops.
+
+The scalar construction layers are the net-tree, candidate edges, directions
+and donation as per-node and per-edge Python records: a ``(label, parent)``
+pair per node, a ``seen`` set of pairs, and dicts of in-edges per head and of
+records per pair. The array-based builders must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from doubling import (
 from doubling.closure import AuditResult, ConvPoint
 from doubling.cover import min_ball_cover
 from doubling.instances import PackingCertificate
+from doubling.metric import greedy_net
+from doubling.net_tree import tau_for
 
 
 def brute_audit_max(g: WeightedGraph) -> int:
@@ -326,3 +333,99 @@ def bit_length_lcp_matrix(p: int) -> np.ndarray:
         for j in range(i + 1, n):
             D[i, j] = D[j, i] = float(1 << (i ^ j).bit_length())
     return D
+
+
+def scalar_net_tree(m: FiniteMetric, eps: float) -> tuple[float, list[list[tuple[int, int | None]]]]:
+    """(scale, levels) of the net-tree, one ``(label, parent position)`` per
+    node in ascending label order; the parent is None at the top. A
+    non-survivor's parent is the lowest-id kept label within the radius."""
+    if m.n == 1:
+        return 1.0, [[(0, None)]]
+    scale = 2.0 ** tau_for(eps) / m.min_distance()
+    scaled = m.dist * scale
+    sm = FiniteMetric(scaled, validate=False)
+    levels: list[list[list]] = [[[p, None] for p in range(m.n)]]
+    current = list(range(m.n))
+    i = 0
+    while len(current) > 1:
+        i += 1
+        r = 2.0**i
+        kept = greedy_net(sm, r, points=current)
+        index = {label: k for k, label in enumerate(kept)}
+        for node in levels[-1]:
+            if node[0] in index:
+                node[1] = index[node[0]]
+            else:
+                node[1] = next(index[q] for q in kept if scaled[node[0], q] <= r)
+        levels.append([[label, None] for label in kept])
+        current = kept
+    return scale, [[(label, parent) for label, parent in level] for level in levels]
+
+
+def scalar_istar(levels) -> dict[int, int]:
+    """Highest level whose labels contain each point."""
+    out: dict[int, int] = {}
+    for i, level in enumerate(levels):
+        for label, _ in level:
+            out[label] = i
+    return out
+
+
+def scalar_level_ancestor(levels, v: int, i: int) -> int:
+    """Label of the level-i ancestor of leaf ``v``, one parent link at a time."""
+    idx = [label for label, _ in levels[0]].index(v)
+    for level in range(i):
+        idx = levels[level][idx][1]
+    return levels[i][idx][0]
+
+
+def scalar_base_edge_sets(S: np.ndarray, levels, C: float) -> list[list[tuple[int, int]]]:
+    """Candidate pairs per level: level-i labels within C * 2**i, skipping
+    every pair already placed lower down (a ``seen`` set)."""
+    seen: set[tuple[int, int]] = set()
+    sets: list[list[tuple[int, int]]] = [[]]
+    for i in range(1, len(levels)):
+        ids = [label for label, _ in levels[i]]
+        fresh = []
+        for a_pos, a in enumerate(ids):
+            for b in ids[a_pos + 1 :]:
+                if S[a, b] <= C * 2.0**i and (a, b) not in seen:
+                    seen.add((a, b))
+                    fresh.append((a, b))
+        sets.append(fresh)
+    return sets
+
+
+def scalar_directions(edge_sets, istar_of: dict[int, int]) -> list[tuple[int, int, int]]:
+    """(tail, head, level) toward the larger istar, ties toward the larger id."""
+    directed = []
+    for level, pairs in enumerate(edge_sets):
+        for a, b in sorted(pairs):
+            directed.append((b, a, level) if istar_of[a] > istar_of[b] else (a, b, level))
+    return directed
+
+
+def scalar_donation(directed, D: np.ndarray, m0: int) -> list[tuple[int, int, float, int, int | None]]:
+    """Donation through dicts: in-edges grouped per head and level, ranks
+    above ``m0`` moved to the lowest tail of the rank ``j - m0`` group, then
+    one record per pair, the shortest and otherwise the first made.
+    Returns ``(u, v, length, level, donor)`` sorted by pair."""
+    by_head: dict[int, dict[int, list[int]]] = {}
+    for tail, head, level in directed:
+        by_head.setdefault(head, {}).setdefault(level, []).append(tail)
+    out = []
+    for x in sorted(by_head):
+        groups = sorted(by_head[x])
+        for rank, level in enumerate(groups, start=1):
+            for y in sorted(by_head[x][level]):
+                if rank <= m0:
+                    out.append((y, x, float(D[y, x]), level, None))
+                else:
+                    u = min(by_head[x][groups[rank - 1 - m0]])
+                    out.append((y, u, float(D[y, u]), level, x))
+    merged: dict[tuple[int, int], tuple] = {}
+    for rec in out:
+        pair = (min(rec[0], rec[1]), max(rec[0], rec[1]))
+        if pair not in merged or rec[2] < merged[pair][2]:
+            merged[pair] = rec
+    return [merged[pair] for pair in sorted(merged)]

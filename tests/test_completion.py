@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -169,4 +170,21 @@ class TestSerialization:
         path = tmp_path / "broken.txt"
         path.write_text("graph 2\ne 0 1 1.0\nscale 2.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_completion(str(path))
+
+    @pytest.mark.parametrize(
+        "records,line,reason",
+        [
+            ("scale 2.0\nmeta 2 1\ntail 0 1\n", 5, "bad tail record"),
+            ("scale 2.0\nmeta 2 1\nlift 0 1 1 0 x\n", 5, "invalid literal"),
+            ("scale 2.0\nmeta 2 1\nmeta 2 1\n", 5, "exactly one meta record"),
+            ("meta 2 1\ntail 0 0 0\n", 4, "exactly one scale record"),
+            ("scale two\nmeta 2 1\n", 3, "could not convert"),
+            ("scale 2.0\nmeta 2\n", 4, "bad meta record"),
+        ],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, records, line, reason):
+        path = tmp_path / "broken.completion"
+        path.write_text("graph 2\ne 0 1 1.0\n" + records, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: .*{reason}"):
             load_completion(str(path))

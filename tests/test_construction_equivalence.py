@@ -1,0 +1,141 @@
+"""The array-based construction layers against their scalar references.
+
+``build_net_tree`` keeps per-level label and parent arrays,
+``build_base_edge_sets`` places each pair with one mask per level, and
+``donate_edges`` groups and merges the in-edges with ``lexsort``; ``oracles``
+keeps the per-node tree, the ``seen``-set candidates and the dict-based
+donation. Every layer must match exactly: nets, parents, istar, every level
+ancestor, edge sets, directed triples, spanner records and graph edges.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doubling import (
+    FiniteMetric,
+    exponential_star,
+    lcp_metric,
+    level_ancestor_label,
+    random_euclidean,
+    shortest_path_metric,
+)
+from doubling.net_tree import build_net_tree
+from doubling.spanner import (
+    assign_directions,
+    build_base_edge_sets,
+    cover_constant,
+    donate_edges,
+    donation_threshold,
+)
+from oracles import (
+    scalar_base_edge_sets,
+    scalar_directions,
+    scalar_donation,
+    scalar_istar,
+    scalar_level_ancestor,
+    scalar_net_tree,
+)
+
+EPSILONS = (1.0 / 4.0, 1.0 / 8.0, 1.0 / 32.0)
+
+
+def integer_grid(seed: int, n: int, dim: int) -> FiniteMetric:
+    """Distinct points of a 5^dim grid under the L1 norm: many equal distances."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(5**dim, size=n, replace=False)
+    pts = np.stack([(cells // 5**k) % 5 for k in range(dim)], axis=1).astype(float)
+    return FiniteMetric(np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+
+
+def comb() -> FiniteMetric:
+    """Point j > 0 at C * 2^j: vertex 0 gets one in-edge group per level."""
+    pos = [0.0] + [cover_constant(0.25) * 2.0**j for j in range(1, 17)]
+    return FiniteMetric(np.abs(np.subtract.outer(pos, pos)), validate=False)
+
+
+def assert_matches_oracles(m: FiniteMetric, eps: float) -> int:
+    """Check every layer against its oracle; returns the donated record count."""
+    t = build_net_tree(m, eps)
+    scale, levels = scalar_net_tree(m, eps)
+    assert t.scale == scale
+    assert [net.tolist() for net in t.nets] == [[label for label, _ in level] for level in levels]
+    assert [up.tolist() for up in t.parents] == [
+        [-1 if parent is None else parent for _, parent in level] for level in levels
+    ]
+    istar_of = scalar_istar(levels)
+    assert t.istar.tolist() == [istar_of[v] for v in range(m.n)]
+    for v in range(m.n):
+        for i in range(t.top_level + 1):
+            assert level_ancestor_label(t, v, i) == scalar_level_ancestor(levels, v, i)
+
+    sets = build_base_edge_sets(m, t, eps)
+    assert sets == scalar_base_edge_sets(t.scaled_dist, levels, cover_constant(eps))
+    directed = assign_directions(sets, t)
+    assert directed == scalar_directions(sets, istar_of)
+
+    s = donate_edges(directed, m, eps, net_tree=t)
+    expected = scalar_donation(directed, m.dist, donation_threshold(eps))
+    assert [(r.u, r.v, r.length, r.level, r.donor) for r in s.edges] == expected
+    assert list(s.graph.edges) == [(min(u, v), max(u, v), w) for u, v, w, _, _ in expected]
+    assert all(r.kind_v == ("B" if r.donor is None else "C") for r in s.edges)
+    return sum(r.donor is not None for r in s.edges)
+
+
+eps_st = st.sampled_from(EPSILONS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40), dim=st.sampled_from([2, 3]), eps=eps_st)
+def test_random_euclidean(seed, n, dim, eps):
+    assert_matches_oracles(random_euclidean(n, dim, seed), eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40), dim=st.sampled_from([2, 3]), eps=eps_st)
+def test_tie_heavy_integer_grid(seed, n, dim, eps):
+    assert_matches_oracles(integer_grid(seed, min(n, 5**dim), dim), eps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(leaves=st.integers(12, 32), eps=eps_st)
+def test_exponential_star(leaves, eps):
+    donated = assert_matches_oracles(shortest_path_metric(exponential_star(leaves)), eps)
+    if eps == 0.25 and leaves > donation_threshold(eps):
+        assert donated > 0  # the donation path is exercised
+
+
+def two_armed_comb() -> FiniteMetric:
+    """Points at 0.75 * C * 2^j on both axes, j = 1..17: vertex 0 gets two
+    tails per in-edge group, and more groups than the threshold keeps."""
+    arm = 0.75 * cover_constant(0.25) * 2.0 ** np.arange(1, 18)
+    zero = np.zeros_like(arm)
+    pts = np.concatenate([[[0.0, 0.0]], np.stack([arm, zero], 1), np.stack([zero, arm], 1)])
+    return FiniteMetric(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_donation_ignores_the_input_order(seed):
+    """Groups and the tails inside them are ordered by the pass, not its input."""
+    m = two_armed_comb()
+    t = build_net_tree(m, 0.25)
+    directed = assign_directions(build_base_edge_sets(m, t, 0.25), t)
+    shuffled = [directed[k] for k in np.random.default_rng(seed).permutation(len(directed))]
+    s = donate_edges(shuffled, m, 0.25)
+    expected = scalar_donation(directed, m.dist, donation_threshold(0.25))
+    assert [(r.u, r.v, r.length, r.level, r.donor) for r in s.edges] == expected
+    assert sum(r.donor is not None for r in s.edges) > 2
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_geometric_progression_comb(eps):
+    donated = assert_matches_oracles(comb(), eps)
+    assert donated == (2 if eps == 0.25 else 0)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("p", range(1, 6))
+def test_prefix_metric(p, eps):
+    assert_matches_oracles(lcp_metric(p), eps)

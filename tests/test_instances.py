@@ -19,6 +19,7 @@ from doubling import (
     shortest_path_metric,
     star_lb_certificate,
 )
+from doubling import metric
 
 
 def full_prefix_graph(p: int) -> WeightedGraph:
@@ -59,6 +60,18 @@ class TestGenerators:
 
     def test_euclidean_single_point(self):
         assert random_euclidean(1, 4, seed=0).n == 1
+
+    @pytest.mark.parametrize("ambient_dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_euclidean_needs_no_triangle_check(self, ambient_dim, seed):
+        """The generator skips the check; pdist distances pass it anyway."""
+        for n in (2, 17, 200):
+            m = random_euclidean(n, ambient_dim, seed)
+            assert metric._triangle_violation(m.dist) is None
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_prefix_metric_needs_no_triangle_check(self, p):
+        assert metric._triangle_violation(lcp_metric(p).dist) is None
 
     def test_random_tree_shape(self):
         g = random_tree(30, seed=2)

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -153,10 +154,11 @@ class TestValidate:
     def test_tampered_parent_distance(self):
         m = collinear_metric()
         t = build_net_tree(m, 0.25)
-        bad = NetTree(copy.deepcopy(t.levels), t.scale, t.scaled_dist)
+        nets = copy.deepcopy(t.nets)
         # reroute point 2's level-8 parent onto the root's chain at level 9:
         # its own label disappears from level 8's children
-        bad.levels[8][1].label = 1
+        nets[8][1] = 1
+        bad = NetTree(nets, t.parents, t.scale, t.scaled_dist)
         report = validate_net_tree(bad, m)
         assert not report.ok
         assert report.clause in ("same-label child", "packing", "nesting")
@@ -164,14 +166,14 @@ class TestValidate:
     def test_tampered_scale_breaks_packing(self):
         m = collinear_metric()
         t = build_net_tree(m, 0.25)
-        bad = NetTree(copy.deepcopy(t.levels), t.scale / 4.0, t.scaled_dist / 4.0)
+        bad = NetTree(copy.deepcopy(t.nets), copy.deepcopy(t.parents), t.scale / 4.0, t.scaled_dist / 4.0)
         report = validate_net_tree(bad, m)
         assert not report.ok
 
     def test_truncated_tree_has_no_root(self):
         m = collinear_metric()
         t = build_net_tree(m, 0.25)
-        bad = NetTree(copy.deepcopy(t.levels[:-1]), t.scale, t.scaled_dist)
+        bad = NetTree(copy.deepcopy(t.nets[:-1]), copy.deepcopy(t.parents[:-1]), t.scale, t.scaled_dist)
         report = validate_net_tree(bad, m)
         assert not report.ok
         assert report.clause == "root"
@@ -200,4 +202,23 @@ class TestSerialization:
         p = tmp_path / "y.nettree"
         p.write_text("nettree 1 1.0\nnode 0 1 0 -\n")
         with pytest.raises(ValueError):
+            load_net_tree(str(p), two_point_metric())
+
+    @pytest.mark.parametrize(
+        "text,line,reason",
+        [
+            ("nettree 2 256.0\nnode 0 0 0 0\nnode 0 1 1 0\nnode 1 0 5 -\n", 4, "label 5 outside"),
+            ("nettree 2 256.0\nnode 0 0 1 0\nnode 0 1 0 0\nnode 1 0 1 -\n", 2, "level 0 must list"),
+            ("nettree 2 256.0\nnode 0 0 0 0\nnode 1 0 0 -\n", 3, "level 0 has 1 of the metric's 2"),
+            ("nettree 2 -1.0\nnode 0 0 0 0\n", 1, "not positive and finite"),
+            ("nettree x 256.0\n", 1, "expected 'nettree"),
+            ("", 1, "expected 'nettree"),
+            ("nettree 2 256.0\n\n# level 0\nnode 0 0 0 0\nnode 0 1 1\n", 5, "bad record"),
+            ("nettree 2 256.0\nnode 0 0 0 0\nnode 2 0 0 -\n", 3, "level 2 out of range"),
+        ],
+    )
+    def test_malformed_file_names_its_line(self, tmp_path, text, line, reason):
+        p = tmp_path / "bad.nettree"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:{line}: .*{reason}"):
             load_net_tree(str(p), two_point_metric())

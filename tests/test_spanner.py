@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -214,4 +216,22 @@ class TestSerialization:
         p = tmp_path / "bad.spanner"
         p.write_text("graph 2\ne 0 1 1.0\nmeta 0 1 level=1\n")
         with pytest.raises(ValueError):
+            load_spanner(str(p), 0.25)
+
+    @pytest.mark.parametrize(
+        "meta,reason",
+        [
+            ("meta 0 2 level=1 kind=B donor=-", "names no edge"),
+            ("meta 0 1 kind=B donor=-", "bad meta record"),
+            ("meta 0 1 lvl=1 kind=B donor=-", "needs level=, kind= and donor="),
+            ("meta 0 1 level1 kind=B donor=-", "bad meta record"),
+            ("meta 0 1 level=x kind=B donor=-", "invalid literal"),
+            ("meta 0 1 level=1 kind=C donor=-", "kind=C disagrees with donor=-"),
+            ("meta 0 1 level=1 kind=B donor=2", "kind=B disagrees with donor=2"),
+        ],
+    )
+    def test_malformed_meta_names_its_line(self, tmp_path, meta, reason):
+        p = tmp_path / "bad.spanner"
+        p.write_text(f"graph 3\n# edges\ne 0 1 1.0\ne 1 2 1.0\nmeta 1 2 level=1 kind=B donor=-\n{meta}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:6: .*{reason}"):
             load_spanner(str(p), 0.25)
