@@ -241,9 +241,15 @@ def _lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int,
     step leads into and never enters a dead vertex again, so every vertex
     leaves the path at most once.
     """
-    adjacency = g.adjacency()
+    ptr, neighbour, cost_to = g.csr.indptr, g.csr.indices, g.csr.data
+
+    def steps(x: int) -> Iterator[tuple[int, float]]:
+        """(neighbour, edge length) of x by ascending neighbour: its CSR row."""
+        row = slice(ptr[x], ptr[x + 1])
+        return zip(neighbour[row].tolist(), cost_to[row].tolist())
+
     path = [a]
-    choices = [iter(adjacency[a])]
+    choices = [steps(a)]
     on_path = {a}
     dead: set[int] = set()
     while path:
@@ -251,11 +257,11 @@ def _lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int,
         if current == b:
             return tuple(path)
         left = float(D[current, b])
-        tol = REL_TOL * max(1.0, left)
+        tol = REL_TOL * left
         for w, cost in choices[-1]:
             if w not in on_path and w not in dead and abs(cost + float(D[w, b]) - left) <= tol:
                 path.append(w)
-                choices.append(iter(adjacency[w]))
+                choices.append(steps(w))
                 on_path.add(w)
                 break
         else:
@@ -279,12 +285,12 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
     vertices and therefore wins every tie it enters).
     """
     total = conv_distance(g, p, q)
-    if not -REL_TOL * max(1.0, total) <= s <= total * (1.0 + REL_TOL) + REL_TOL:
+    if not -REL_TOL * total <= s <= total * (1.0 + REL_TOL):
         raise ValueError(f"arc length {s!r} outside [0, {total!r}]")
     if s <= 0.0:
         return p
     D = shortest_path_metric(g).dist
-    tol = REL_TOL * max(1.0, total)
+    tol = REL_TOL * total
 
     candidates: list[_Route] = []
     if not p.is_vertex and p.edge == q.edge and abs(p.offset - q.offset) <= total + tol:
@@ -341,18 +347,11 @@ class AuditResult:
     per_vertex_profile: dict[int, int]
 
 
-def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoints and lengths of ``g.edges`` as three arrays, in ``g.edges`` order."""
-    table = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
-    return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
-
-
 def _long_edges(g: WeightedGraph, D: np.ndarray, u: int, r: float) -> list[tuple[int, int]]:
     """Edges with an endpoint within ``r`` of ``u`` and length above ``r``,
     in ``g.edges`` order: one mask, independent of the audit's scan."""
-    a, b, lengths = _edge_arrays(g)
-    mask = (np.minimum(D[u, a], D[u, b]) <= r) & (lengths > r)
-    return list(zip(a[mask].tolist(), b[mask].tolist()))
+    mask = (np.minimum(D[u, g.u], D[u, g.v]) <= r) & (g.w > r)
+    return list(zip(g.u[mask].tolist(), g.v[mask].tolist()))
 
 
 def long_edge_audit(g: WeightedGraph) -> AuditResult:
@@ -382,13 +381,12 @@ def long_edge_audit(g: WeightedGraph) -> AuditResult:
     breakpoint. A first maximum at distance 0 is therefore reported at
     ``e1 / 2``, and results are unchanged from that grid census.
     """
-    if not g.edges:
+    if not g.w.size:
         return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
     D = shortest_path_metric(g).dist
     n = g.n_vertices
-    a, b, lengths = _edge_arrays(g)
-    by_length = np.argsort(lengths, kind="stable")
-    a, b, lengths = a[by_length], b[by_length], lengths[by_length]
+    by_length = np.argsort(g.w, kind="stable")
+    a, b, lengths = g.u[by_length], g.v[by_length], g.w[by_length]
 
     best_count = 0
     best_vertex = 0

@@ -8,6 +8,7 @@ runs make identical choices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -115,39 +116,91 @@ class FiniteMetric:
         return f"FiniteMetric(n={self.n})"
 
 
+def _first_bad_edge(
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[int, str] | None:
+    """The first edge a one-at-a-time scan would reject, with its message;
+    None when every edge is fine.
+
+    ``u``/``v`` are vertex ids (fractions truncated, as ``int`` does) and
+    ``w`` lengths. Each edge is checked in turn for a self-loop, an endpoint
+    outside 0..n-1, a repeat of an earlier pair in either orientation and a
+    length that is not positive and finite; the first edge failing any check
+    is reported with the first check it fails.
+    """
+    u, v = np.trunc(u) + 0.0, np.trunc(v) + 0.0  # + 0.0 turns -0.0 into 0.0
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop = u == v
+    outside = ~((0 <= lo) & (hi < n))
+    order = np.lexsort((hi, lo))  # stable: each pair's earliest edge first
+    slo, shi = lo[order], hi[order]
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:]] = (slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])
+    bad_length = ~((w > 0.0) & np.isfinite(w))
+    bad = loop | outside | repeat | bad_length
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    a, b = f"{u[k]:.0f}", f"{v[k]:.0f}"
+    if loop[k]:
+        return k, f"self-loop at vertex {a}"
+    if outside[k]:
+        return k, f"edge ({a},{b}) outside vertex range"
+    pair = f"({lo[k]:.0f},{hi[k]:.0f})"
+    if repeat[k]:
+        return k, f"duplicate edge {pair}"
+    return k, f"edge {pair} needs a positive finite length"
+
+
+def _edge_table(edges: np.ndarray | Iterable[tuple[int, int, float]]) -> np.ndarray:
+    """The edges as an (m, 3) float array of (u, v, length) rows."""
+    table = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)
+    if table.size == 0:
+        table = table.reshape(0, 3)
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError("edges must be (u, v, length) triples")
+    return table
+
+
 class WeightedGraph:
     """An undirected graph with positive edge lengths.
 
-    Edges are stored canonically: ``u < v``, no self-loops, at most one
-    edge per pair, sorted by endpoint pair. The instance is treated as
-    immutable once built; the shortest-path metric is cached on it.
+    Edges are stored canonically as three read-only arrays sorted by
+    endpoint pair: ``u < v`` (vertex ids) and ``w`` (lengths), so there are
+    no self-loops and at most one edge per pair. ``edges`` is the same data
+    as a tuple of ``(u, v, length)``. The edges go into one symmetric CSR
+    matrix, the graph's only adjacency structure. The instance is treated as
+    immutable once built; the tuple, the CSR, the edge lookup and the
+    shortest-path metric are each built on first use and cached on it.
     """
 
-    def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int, float]]) -> None:
+    def __init__(
+        self, n_vertices: int, edges: np.ndarray | Iterable[tuple[int, int, float]]
+    ) -> None:
+        """``edges`` is an (m, 3) array or any iterable of (u, v, length)."""
         if n_vertices < 1:
             raise ValueError("a graph needs at least one vertex")
-        canonical: list[tuple[int, int, float]] = []
-        seen: set[tuple[int, int]] = set()
-        for u, v, length in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError(f"edge ({u},{v}) outside vertex range")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            length = float(length)
-            if not (length > 0.0 and math.isfinite(length)):
-                raise ValueError(f"edge ({u},{v}) needs a positive finite length")
-            seen.add((u, v))
-            canonical.append((u, v, length))
-        canonical.sort()
+        table = _edge_table(edges)
+        u, v, w = table.T
+        bad = _first_bad_edge(n_vertices, u, v, w)
+        if bad is not None:
+            raise ValueError(bad[1])
+        lo = np.minimum(u, v).astype(np.intp)
+        hi = np.maximum(u, v).astype(np.intp)
+        order = np.lexsort((hi, lo))
         self.n_vertices = n_vertices
-        self.edges: tuple[tuple[int, int, float], ...] = tuple(canonical)
-        self._length = {(u, v): w for u, v, w in canonical}
+        self.u, self.v, self.w = lo[order], hi[order], w[order]
+        for column in (self.u, self.v, self.w):
+            column.setflags(write=False)
         self._metric: FiniteMetric | None = None
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+
+    @functools.cached_property
+    def _length(self) -> dict[tuple[int, int], float]:
+        return dict(zip(zip(self.u.tolist(), self.v.tolist()), self.w.tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._length
@@ -155,45 +208,40 @@ class WeightedGraph:
     def edge_length(self, u: int, v: int) -> float:
         return self._length[(min(u, v), max(u, v))]
 
+    @functools.cached_property
+    def csr(self) -> csr_matrix:
+        """Both directions of every edge, column indices sorted in each row."""
+        n = self.n_vertices
+        rows = np.concatenate([self.u, self.v])
+        cols = np.concatenate([self.v, self.u])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        data = np.concatenate([self.w, self.w])[order]
+        return csr_matrix((data, cols[order], indptr), shape=(n, n))
+
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vertices)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for lst in adj:
-            lst.sort()
-        return adj
+        """Per vertex, ``(neighbour, length)`` by ascending neighbour: the
+        rows of :attr:`csr` as lists."""
+        ptr = self.csr.indptr.tolist()
+        cols, data = self.csr.indices.tolist(), self.csr.data.tolist()
+        return [list(zip(cols[a:b], data[a:b])) for a, b in zip(ptr, ptr[1:])]
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n_vertices
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def _csgraph(self) -> csr_matrix:
-        n = self.n_vertices
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for u, v, w in self.edges:
-            rows += [u, v]
-            cols += [v, u]
-            data += [w, w]
-        return csr_matrix((data, (rows, cols)), shape=(n, n))
+        return np.diff(self.csr.indptr).tolist()
 
     def component_labels(self) -> np.ndarray:
-        _, labels = connected_components(self._csgraph(), directed=False)
+        _, labels = connected_components(self.csr, directed=False)
         return labels
 
     def is_connected(self) -> bool:
         return bool((self.component_labels() == 0).all())
 
     def is_tree(self) -> bool:
-        return len(self.edges) == self.n_vertices - 1 and self.is_connected()
+        return self.w.size == self.n_vertices - 1 and self.is_connected()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeightedGraph(n={self.n_vertices}, m={len(self.edges)})"
+        return f"WeightedGraph(n={self.n_vertices}, m={self.w.size})"
 
 
 def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
@@ -209,7 +257,9 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
         rep_a = int(np.flatnonzero(labels == 0)[0])
         rep_b = int(np.flatnonzero(labels != 0)[0])
         raise DisconnectedGraph(rep_a, rep_b)
-    D = dijkstra(g._csgraph(), directed=False)
+    # the CSR already holds both directions of every edge, so the directed
+    # search sees the same candidate sums as an undirected one
+    D = dijkstra(g.csr, directed=True)
     # Dijkstra from each source is symmetric up to float rounding; make it exact.
     D = np.minimum(D, D.T)
     # shortest-path distances satisfy the triangle inequality by construction
@@ -539,24 +589,30 @@ def _parse_graph_lines(
     lines = iter(lines)
     at, n = _header(path, lines, "graph")
     extras: dict[str, list[tuple[int, list[str]]]] = {kind: [] for kind in extra_kinds}
-
-    def edges() -> Iterator[tuple[int, int, float]]:
-        nonlocal at
+    edges: list[tuple[float, float, float]] = []
+    edge_lines: list[int] = []
+    fault: Exception | None = None
+    try:
         for at, parts in lines:
             if parts[0] == "e" and len(parts) == 4:
-                yield int(parts[1]), int(parts[2]), float(parts[3])
+                # an id beyond float range overflows here, at its own line
+                edges.append((float(int(parts[1])), float(int(parts[2])), float(parts[3])))
+                edge_lines.append(at)
             elif parts[0] in extras:
                 extras[parts[0]].append((at, parts[1:]))
             else:
                 raise ValueError(f"bad record {' '.join(parts)!r}")
-
-    # WeightedGraph takes the edges one at a time and rejects the first bad
-    # one, so `at` is then the line of the record at fault.
-    try:
-        graph = WeightedGraph(n, edges())
-    except ValueError as exc:
-        raise ValueError(f"{path}:{at}: {exc}") from None
-    return graph, extras, at
+    except (ValueError, OverflowError) as exc:
+        fault = exc
+    # An edge before the record at fault that a one-at-a-time scan would
+    # reject is reported first, at its own line.
+    table = _edge_table(edges)
+    bad = _first_bad_edge(n, *table.T)
+    if bad is not None:
+        raise ValueError(f"{path}:{edge_lines[bad[0]]}: {bad[1]}")
+    if fault is not None:
+        raise ValueError(f"{path}:{at}: {fault}")
+    return WeightedGraph(n, table), extras, at
 
 
 def load_graph(path: str) -> WeightedGraph:

@@ -9,9 +9,10 @@ neighbour, re-measuring the moved edges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "cover_constant",
     "donation_threshold",
     "SpannerEdge",
+    "SpannerRecords",
     "Spanner",
     "build_base_edge_sets",
     "assign_directions",
@@ -82,14 +84,36 @@ class SpannerEdge:
         return (self.u, head) if self.u < head else (head, self.u)
 
 
-@dataclass
+class SpannerRecords(NamedTuple):
+    """The edge records as columns, one entry per record: tail ``u``, head
+    ``v``, ``length``, ``level`` and ``donor`` (-1 for none)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    length: np.ndarray
+    level: np.ndarray
+    donor: np.ndarray
+
+
+@dataclass(eq=False)
 class Spanner:
+    """The spanner graph plus its edge records, kept as columns;
+    :attr:`edges` builds the ``SpannerEdge`` records on first read.
+    Spanners compare by identity, as their graphs do."""
+
     graph: WeightedGraph
-    edges: tuple[SpannerEdge, ...]
+    records: SpannerRecords
     eps: float
     net_tree: NetTree | None
     max_degree: int
     stretch: StretchReport | None = None
+
+    @functools.cached_property
+    def edges(self) -> tuple[SpannerEdge, ...]:
+        return tuple(
+            SpannerEdge(u, v, w, level, None if donor < 0 else donor)
+            for u, v, w, level, donor in zip(*(column.tolist() for column in self.records))
+        )
 
 
 def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[list[tuple[int, int]]]:
@@ -183,17 +207,8 @@ def donate_edges(
     lo, hi = np.minimum(tail, target), np.maximum(tail, target)
     keep = np.lexsort((hi, lo))
     keep = keep[(np.diff(lo[keep], prepend=-1) != 0) | (np.diff(hi[keep], prepend=-1) != 0)]
-    records = tuple(
-        SpannerEdge(u, v, w, lv, None if d < 0 else d)
-        for u, v, w, lv, d in zip(
-            tail[keep].tolist(),
-            target[keep].tolist(),
-            length[keep].tolist(),
-            level[keep].tolist(),
-            donor[keep].tolist(),
-        )
-    )
-    graph = WeightedGraph(m.n, [(*r.pair, r.length) for r in records])
+    records = SpannerRecords(tail[keep], target[keep], length[keep], level[keep], donor[keep])
+    graph = WeightedGraph(m.n, np.column_stack((lo[keep], hi[keep], records.length)))
     max_degree = max(graph.degrees(), default=0)
     return Spanner(graph, records, eps, net_tree, max_degree)
 
@@ -239,8 +254,16 @@ def load_spanner(path: str, eps: float) -> Spanner:
             records.append(_meta_record(graph, parts))
         except ValueError as exc:
             raise ValueError(f"{path}:{at}: {exc}") from None
+    columns = SpannerRecords(
+        np.array([r.u for r in records], dtype=np.intp),
+        np.array([r.v for r in records], dtype=np.intp),
+        np.array([r.length for r in records], dtype=np.float64),
+        # int64, or object for a level beyond it: each reads back as written
+        np.array([r.level for r in records]),
+        np.array([-1 if r.donor is None else r.donor for r in records], dtype=np.intp),
+    )
     max_degree = max(graph.degrees(), default=0)
-    return Spanner(graph, tuple(records), eps, None, max_degree)
+    return Spanner(graph, columns, eps, None, max_degree)
 
 
 def _meta_record(graph: WeightedGraph, parts: list[str]) -> SpannerEdge:
@@ -254,6 +277,8 @@ def _meta_record(graph: WeightedGraph, parts: list[str]) -> SpannerEdge:
     if sorted(fields) != ["donor", "kind", "level"]:
         raise ValueError("a meta record needs level=, kind= and donor=")
     donor = None if fields["donor"] == "-" else int(fields["donor"])
+    if donor is not None and not 0 <= donor < graph.n_vertices:
+        raise ValueError(f"donor={donor} names no vertex of the graph")
     rec = SpannerEdge(u, v, graph.edge_length(u, v), int(fields["level"]), donor)
     if fields["kind"] != rec.kind_v:
         raise ValueError(f"kind={fields['kind']} disagrees with donor={fields['donor']}")

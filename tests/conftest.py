@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from doubling import (
     FiniteMetric,
@@ -16,6 +17,12 @@ from doubling import (
     random_euclidean,
     shortest_path_metric,
 )
+
+# Property tests draw the same examples on every run: the seed comes from
+# each test function, no example database is replayed, and slow examples
+# are not failed on time.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def small_audit_graphs() -> dict[str, WeightedGraph]:

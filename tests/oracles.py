@@ -15,6 +15,12 @@ The scalar closure distance is the four-exit formula one pair at a time, the
 reference the blocked ``closure.point_distances`` must reproduce exactly;
 the certificate and witness oracles walk their pairs with it in nested loops.
 
+The scalar graph is the per-edge ``WeightedGraph`` constructor loop with
+the degree and adjacency loops, and the scalar APSP runs undirected
+Dijkstra on a CSR built from Python lists: the references the array-backed
+graph and its one cached CSR must reproduce exactly, error messages and
+distance bits included.
+
 The scalar construction layers are the net-tree, candidate edges, directions
 and donation as per-node and per-edge Python records: a ``(label, parent)``
 pair per node, a ``seen`` set of pairs, and dicts of in-edges per head and of
@@ -25,8 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from doubling import (
     REL_TOL,
@@ -429,3 +438,62 @@ def scalar_donation(directed, D: np.ndarray, m0: int) -> list[tuple[int, int, fl
         if pair not in merged or rec[2] < merged[pair][2]:
             merged[pair] = rec
     return [merged[pair] for pair in sorted(merged)]
+
+
+class ScalarGraph(NamedTuple):
+    edges: tuple[tuple[int, int, float], ...]
+    lengths: dict[tuple[int, int], float]
+    degrees: list[int]
+    adjacency: list[list[tuple[int, float]]]
+
+
+def scalar_weighted_graph(n_vertices: int, edges) -> ScalarGraph:
+    """The graph one edge at a time: each edge is checked for a self-loop,
+    its range, a repeat and its length, in that order, before the next is
+    read; the first failure raises its ``ValueError``."""
+    if n_vertices < 1:
+        raise ValueError("a graph needs at least one vertex")
+    canonical: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
+    for u, v, length in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise ValueError(f"edge ({u},{v}) outside vertex range")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        length = float(length)
+        if not (length > 0.0 and math.isfinite(length)):
+            raise ValueError(f"edge ({u},{v}) needs a positive finite length")
+        seen.add((u, v))
+        canonical.append((u, v, length))
+    canonical.sort()
+    degrees = [0] * n_vertices
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n_vertices)]
+    for u, v, w in canonical:
+        degrees[u] += 1
+        degrees[v] += 1
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    for lst in adjacency:
+        lst.sort()
+    return ScalarGraph(tuple(canonical), {(u, v): w for u, v, w in canonical}, degrees, adjacency)
+
+
+def scalar_apsp(n_vertices: int, edges) -> np.ndarray:
+    """All-pairs shortest paths of a connected graph given as canonical
+    ``(u, v, length)`` edges: both directions appended to Python lists,
+    undirected Dijkstra, then the elementwise minimum with the transpose."""
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+    for u, v, w in edges:
+        rows += [u, v]
+        cols += [v, u]
+        data += [w, w]
+    graph = csr_matrix((data, (rows, cols)), shape=(n_vertices, n_vertices))
+    D = dijkstra(graph, directed=False)
+    return np.minimum(D, D.T)

@@ -1,9 +1,26 @@
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doubling import InstanceSpec, exponential_star, lcp_metric, load_graph, load_metric
+from doubling import (
+    InstanceSpec,
+    exponential_star,
+    lcp_metric,
+    load_graph,
+    load_metric,
+    random_euclidean,
+    random_tree,
+    save_graph,
+    save_metric,
+)
 from doubling.cli import RunConfig, main, run
 from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
@@ -174,6 +191,8 @@ class TestMain:
             ("neg.metric", "# two points\nmetric 2\n\nd 0 1 -1.0\n", "positive finite", 4),
             ("head.graph", "\ngraph two\ne 0 1 1.0\n", "header", 2),
             ("twice.graph", "graph 3\ne 0 1 1.0 # first\ne 1 2 1.0\ne 1 0 2.0\n", "duplicate", 4),
+            ("late.graph", "graph 3\ne 0 1 1.0\ne 2 2 1.0\ne 1 2 x\nbogus\n", "self-loop", 3),
+            ("huge.graph", "graph 2\ne 1 1" + "0" * 400 + " 1.0\n", "too large", 2),
         ],
     )
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, name, text, reason, line):
@@ -240,6 +259,82 @@ class TestMain:
         capsys.readouterr()
         assert main(["report", "--inputs", base + ".json"]) == 0
         assert "stretch.max" in capsys.readouterr().out
+
+
+def saved_text(save, obj) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved")
+        save(obj, path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+@functools.cache
+def saved_files() -> dict[str, str]:
+    return {
+        "star.graph": saved_text(save_graph, exponential_star(4)),
+        "tree.graph": saved_text(save_graph, random_tree(6, 1)),
+        "prefix.metric": saved_text(save_metric, lcp_metric(2)),
+        "points.metric": saved_text(save_metric, random_euclidean(4, 2, 1)),
+    }
+
+
+LETTERS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+
+
+@st.composite
+def mutated_files(draw):
+    """(name, text): a saved file with one line changed so that it is
+    malformed: a field replaced by letters, a field dropped or added, a
+    non-positive length, an endpoint out of range or equal to the other;
+    for graphs a repeated edge line, for metrics a deleted line or a pair
+    out of order."""
+    name = draw(st.sampled_from(sorted(saved_files())))
+    lines = saved_files()[name].splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    fields = lines[k].split()
+    kinds = ["letters", "drop", "extra"]
+    if k > 0:
+        kinds += ["length", "range", "loop"]
+        kinds += ["repeat"] if name.endswith(".graph") else ["delete", "swap"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "letters":
+        i = draw(st.integers(0, len(fields) - 1))
+        fields[i] = draw(LETTERS.filter(lambda token: token != fields[i]))
+    elif kind == "drop":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif kind == "extra":
+        fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["1", "x", "1.0"])))
+    elif kind == "length":
+        fields[3] = draw(st.sampled_from(["0", "0.0", "-0.0", "-1.5", "-" + fields[3]]))
+    elif kind == "range":
+        n = int(lines[0].split()[1])
+        fields[draw(st.sampled_from([1, 2]))] = str(n + draw(st.integers(0, 10**30)))
+    elif kind == "loop":
+        fields[2] = fields[1]
+    elif kind == "swap":
+        fields[1], fields[2] = fields[2], fields[1]
+    lines[k] = " ".join(fields)
+    if kind == "repeat":
+        lines.insert(k, lines[k])
+    elif kind == "delete":
+        del lines[k]
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(case=mutated_files())
+def test_a_malformed_saved_file_is_a_usage_error(case):
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["dim", "--input", path])
+    assert code == 2, text
+    assert err.getvalue().startswith(f"error: {path}:") and "Traceback" not in err.getvalue()
 
 
 class TestReportRendering:

@@ -228,6 +228,8 @@ class TestSerialization:
             ("meta 0 1 level=x kind=B donor=-", "invalid literal"),
             ("meta 0 1 level=1 kind=C donor=-", "kind=C disagrees with donor=-"),
             ("meta 0 1 level=1 kind=B donor=2", "kind=B disagrees with donor=2"),
+            ("meta 0 1 level=1 kind=C donor=-1", "donor=-1 names no vertex"),
+            ("meta 0 1 level=1 kind=C donor=3", "donor=3 names no vertex"),
         ],
     )
     def test_malformed_meta_names_its_line(self, tmp_path, meta, reason):
@@ -235,3 +237,9 @@ class TestSerialization:
         p.write_text(f"graph 3\n# edges\ne 0 1 1.0\ne 1 2 1.0\nmeta 1 2 level=1 kind=B donor=-\n{meta}\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:6: .*{reason}"):
             load_spanner(str(p), 0.25)
+
+    def test_records_read_back_as_written(self, tmp_path):
+        p = tmp_path / "big.spanner"
+        p.write_text("graph 2\ne 0 1 1.5\nmeta 1 0 level=99999999999999999999 kind=C donor=1\n")
+        (rec,) = load_spanner(str(p), 0.25).edges
+        assert (rec.u, rec.v, rec.length, rec.level, rec.donor) == (1, 0, 1.5, 10**20 - 1, 1)
