@@ -64,9 +64,17 @@ def _load_input(path: str) -> metric.WeightedGraph | metric.FiniteMetric:
         raise ConfigError(msg) from exc
 
 
+def _build(spec: instances.InstanceSpec) -> metric.WeightedGraph | metric.FiniteMetric:
+    """Build a generated instance; a size its generator refuses is a usage error."""
+    try:
+        return spec.build()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve(config: RunConfig) -> metric.WeightedGraph | metric.FiniteMetric:
     if config.instance is not None:
-        return config.instance.build()
+        return _build(config.instance)
     if config.input_path is None:
         raise ConfigError("no instance and no input file given")
     return _load_input(config.input_path)
@@ -196,7 +204,7 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
         if config.instance is None or config.instance.family != "exponential-star":
             raise ConfigError("certify-star needs an exponential-star instance")
         eps = _need_epsilon(config)
-        g = config.instance.build()
+        g = _build(config.instance)
         assert isinstance(g, metric.WeightedGraph)
         c = completion.complete_tree(g, eps)
         cert = instances.star_lb_certificate(c, eps)
@@ -205,11 +213,11 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
         passed = cert.ok
 
     elif config.pipeline == "certify-lcp":
-        if config.instance is None or config.instance.p is None:
+        if config.instance is None or config.instance.family != "lcp-hypercube":
             raise ConfigError("certify-lcp needs an lcp-hypercube instance")
+        m = _build(config.instance)
         p = config.instance.p
         eps = config.epsilon if config.epsilon is not None else 2.0 ** -(p + 1)
-        m = instances.lcp_metric(p)
         s = spanner.build_spanner(m, eps)
         assert s.stretch is not None
         crossing = instances.lcp_crossing_check(s.graph, p)
@@ -285,17 +293,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        spec = instances.InstanceSpec(
-            family=args.family,
-            n=args.n,
-            p=args.p,
-            ambient_dim=args.ambient_dim,
-            seed=args.seed,
-        )
-        built = spec.build()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = instances.InstanceSpec(
+        family=args.family, n=args.n, p=args.p, ambient_dim=args.ambient_dim, seed=args.seed
+    )
+    built = _build(spec)
     if isinstance(built, metric.WeightedGraph):
         metric.save_graph(built, args.output)
     else:

@@ -160,6 +160,12 @@ def min_cover_bitmask(
     return best_size, best_choice, aborted
 
 
+def _ball_mask(D: np.ndarray, universe: np.ndarray, center: int, r: float) -> int:
+    """The radius-``r`` ball around ``center`` as a bitmask: bit k is ``universe[k]``."""
+    inside = D[center][universe] <= r
+    return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
+
+
 def min_ball_cover(
     D: np.ndarray,
     universe: np.ndarray,
@@ -174,32 +180,21 @@ def min_ball_cover(
     keeping the lowest center id of each surviving mask as its witness.
     ``ub_centers`` and ``prune_at`` are passed through to the bitmask solver.
     """
-    n = D.shape[0]
     full = (1 << universe.size) - 1
     mask_owner: dict[int, int] = {}
-    for y in range(n):
-        inside = D[y][universe] <= r
-        mask = 0
-        for pos in np.flatnonzero(inside):
-            mask |= 1 << int(pos)
+    for y in range(D.shape[0]):
+        mask = _ball_mask(D, universe, y, r)
         if mask and mask not in mask_owner:
             mask_owner[mask] = y
     masks = sorted(mask_owner)
     # drop masks strictly contained in another candidate
-    keep: list[int] = []
-    for i, s in enumerate(masks):
-        if not any(s != t and s & t == s for t in masks):
-            keep.append(s)
-    sets = keep
+    sets = [s for s in masks if not any(s != t and s & t == s for t in masks)]
     owners = [mask_owner[s] for s in sets]
 
     ub_idx: list[int] = []
     covered = 0
     for c in ub_centers:
-        inside = D[c][universe] <= r
-        mask = 0
-        for pos in np.flatnonzero(inside):
-            mask |= 1 << int(pos)
+        mask = _ball_mask(D, universe, c, r)
         # map the greedy center onto a surviving candidate containing its ball
         for k, s in enumerate(sets):
             if mask & s == mask:

@@ -20,6 +20,7 @@ from .closure import ConvPoint, conv_geodesic_point, pairwise_window, point_dist
 from .completion import Completion
 from .errors import ConfigError, TooFewLeaves, VertexSetMismatch
 from .metric import REL_TOL, FiniteMetric, WeightedGraph
+from .net_tree import check_eps
 
 __all__ = [
     "InstanceSpec",
@@ -170,8 +171,7 @@ def star_lb_certificate(c: Completion, eps: float) -> PackingCertificate:
     packing size therefore certifies a dimension lower bound that grows with
     log log(1/eps), however small eps gets.
     """
-    if not 0.0 < eps <= 0.25:
-        raise ValueError(f"eps must lie in (0, 1/4], got {eps!r}")
+    check_eps(eps)
     k = math.floor(math.log2(1.0 / (2.0 * eps)))
     leaves = c.n_original - 1
     if leaves < k:
@@ -211,29 +211,33 @@ class CrossingReport:
         return self.missing is None
 
 
-def lcp_crossing_check(h: WeightedGraph, p: int) -> CrossingReport:
-    """Does ``h`` directly connect every 0-string to every 1-string?
-
-    Any graph on exactly these points whose path metric stays within
-    (1 + 2**-(p+1)) of the prefix metric must: a two-hop route through
-    either half overshoots. The report counts the present pairs and names
-    the first missing one, if any.
-    """
+def _crossing_edges(h: WeightedGraph, p: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """``half`` and the edges ``x < half <= y`` between the two prefix halves
+    of the ``2**p`` points, in ascending (x, y) order, as the graph keeps them."""
     n = 1 << p
     if h.n_vertices != n:
         raise VertexSetMismatch(
             f"expected exactly the {n} prefix points, graph has {h.n_vertices} vertices"
         )
     half = n // 2
-    present = 0
-    missing = None
-    for x in range(half):
-        for y in range(half, n):
-            if h.has_edge(x, y):
-                present += 1
-            elif missing is None:
-                missing = (x, y)
-    return CrossingReport(present, half * half, missing)
+    crossing = (h.u < half) & (h.v >= half)
+    return half, h.u[crossing], h.v[crossing]
+
+
+def lcp_crossing_check(h: WeightedGraph, p: int) -> CrossingReport:
+    """Does ``h`` directly connect every 0-string to every 1-string?
+
+    Any graph on exactly these points whose path metric stays within
+    (1 + 2**-(p+1)) of the prefix metric must: a two-hop route through
+    either half overshoots. The report counts the present pairs and names
+    the first missing one, if any, in (0-string, 1-string) order.
+    """
+    half, x, y = _crossing_edges(h, p)
+    present = np.zeros((half, half), dtype=bool)
+    present[x, y - half] = True
+    gaps = np.argwhere(~present)
+    missing = (int(gaps[0, 0]), half + int(gaps[0, 1])) if gaps.size else None
+    return CrossingReport(x.size, half * half, missing)
 
 
 def crossing_midpoint_packing(h: WeightedGraph, p: int) -> PackingCertificate:
@@ -245,19 +249,9 @@ def crossing_midpoint_packing(h: WeightedGraph, p: int) -> PackingCertificate:
     when the window supports it (minimum at least 2**p, maximum at most
     twice the minimum).
     """
-    n = 1 << p
-    if h.n_vertices != n:
-        raise VertexSetMismatch(
-            f"expected exactly the {n} prefix points, graph has {h.n_vertices} vertices"
-        )
-    half = n // 2
+    _, x, y = _crossing_edges(h, p)
     offset = float(1 << (p - 1))
-    points = []
-    for x in range(half):
-        for y in range(half, n):
-            if h.has_edge(x, y):
-                points.append(ConvPoint.on_edge(x, y, offset))
-    pts = tuple(points)
+    pts = tuple(ConvPoint.on_edge(a, b, offset) for a, b in zip(x.tolist(), y.tolist()))
     lo, hi = pairwise_window(h, pts)
     floor = float(1 << p)
     ok = len(pts) > 0 and (

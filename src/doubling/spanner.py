@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,8 +116,9 @@ class Spanner:
         )
 
 
-def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[list[tuple[int, int]]]:
-    """Level-indexed candidate edge sets (index 0 is empty).
+def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[np.ndarray]:
+    """Level-indexed candidate edge sets (index 0 is empty), one ``(k, 2)``
+    array of pairs ``a < b`` per level.
 
     E_i holds the pairs of level-i net labels within cover_constant * 2**i
     in the rescaled metric, minus everything that appeared at lower levels,
@@ -131,7 +132,7 @@ def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[list[t
     C = cover_constant(eps)
     rows, cols = np.triu_indices(m.n, k=1)
     dist = t.scaled_dist[rows, cols]
-    sets: list[list[tuple[int, int]]] = [[]]
+    sets = [np.empty((0, 2), dtype=np.intp)]
     for i in range(1, t.top_level + 1):
         member = np.zeros(m.n, dtype=bool)
         member[t.nets[i]] = True
@@ -143,37 +144,31 @@ def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[list[t
                 f"edge {(int(rows[k]), int(cols[k]))} of scaled length {dist[k]!r} "
                 f"outside the level-{i} bracket"
             )
-        sets.append(list(zip(rows[hit].tolist(), cols[hit].tolist())))
+        sets.append(np.column_stack((rows[hit], cols[hit])))
         rows, cols, dist = rows[~hit], cols[~hit], dist[~hit]
     return sets
 
 
-def assign_directions(
-    edge_sets: Sequence[Sequence[tuple[int, int]]], t: NetTree
-) -> list[tuple[int, int, int]]:
+def assign_directions(edge_sets: Sequence[np.ndarray], t: NetTree) -> np.ndarray:
     """Direct each pair toward the endpoint with larger istar (ties: larger id).
 
-    Returns (tail, head, level) triples in deterministic order.
+    Returns one ``(m, 3)`` array of (tail, head, level) rows in input order.
     """
-    directed: list[tuple[int, int, int]] = []
-    for level, pairs in enumerate(edge_sets):
-        if not pairs:
-            continue
-        a, b = np.array(sorted(pairs), dtype=np.intp).T
-        # a < b, so on an istar tie the larger id b is the head
-        flip = t.istar[a] > t.istar[b]
-        tails, heads = np.where(flip, b, a).tolist(), np.where(flip, a, b).tolist()
-        directed += [(tail, head, level) for tail, head in zip(tails, heads)]
-    return directed
+    level = np.repeat(np.arange(len(edge_sets)), [len(pairs) for pairs in edge_sets])
+    a, b = np.concatenate(edge_sets).T
+    # a < b, so on an istar tie the larger id b is the head
+    flip = t.istar[a] > t.istar[b]
+    return np.column_stack((np.where(flip, b, a), np.where(flip, a, b), level))
 
 
 def donate_edges(
-    directed: Iterable[tuple[int, int, int]],
+    directed: np.ndarray,
     m: FiniteMetric,
     eps: float,
     net_tree: NetTree | None = None,
 ) -> Spanner:
-    """Apply the degree-reduction pass and assemble the spanner.
+    """Apply the degree-reduction pass to the (tail, head, level) rows of
+    ``directed`` and assemble the spanner.
 
     For each vertex x the in-edges are grouped by level; with the nonempty
     groups ranked ascending, ranks above the donation threshold m0 are moved:
@@ -187,7 +182,7 @@ def donate_edges(
     """
     check_eps(eps)
     m0 = donation_threshold(eps)
-    tail, head, level = np.array(list(directed), dtype=np.intp).reshape(-1, 3).T
+    tail, head, level = np.asarray(directed, dtype=np.intp).reshape(-1, 3).T
     order = np.lexsort((tail, level, head))
     tail, head, level = tail[order], head[order], level[order]
 
@@ -243,17 +238,27 @@ def load_spanner(path: str, eps: float) -> Spanner:
     """Rebuild a spanner record set saved by :func:`save_spanner`; every
     ``ValueError`` reads ``path:line: reason``.
 
-    The net-tree is not persisted, so the loaded spanner carries None there
-    and no stretch report.
+    Each graph edge needs exactly one ``meta`` record, as the donation pass
+    makes them: a second record for a pair is refused at its line, an edge
+    without one at the last line read. The net-tree is not persisted, so the
+    loaded spanner carries None there and no stretch report.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        graph, extras, _ = _parse_graph_lines(path, _data_lines(fh), extra_kinds=("meta",))
+        graph, extras, last = _parse_graph_lines(path, _data_lines(fh), extra_kinds=("meta",))
     records: list[SpannerEdge] = []
+    pairs: set[tuple[int, int]] = set()
     for at, parts in extras["meta"]:
         try:
-            records.append(_meta_record(graph, parts))
+            rec = _meta_record(graph, parts)
+            if rec.pair in pairs:
+                raise ValueError(f"a second meta record for edge ({rec.u},{rec.v})")
         except ValueError as exc:
             raise ValueError(f"{path}:{at}: {exc}") from None
+        pairs.add(rec.pair)
+        records.append(rec)
+    if len(records) != graph.u.size:
+        u, v = next(e for e in zip(graph.u.tolist(), graph.v.tolist()) if e not in pairs)
+        raise ValueError(f"{path}:{last}: edge ({u},{v}) has no meta record")
     columns = SpannerRecords(
         np.array([r.u for r in records], dtype=np.intp),
         np.array([r.v for r in records], dtype=np.intp),

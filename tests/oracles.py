@@ -14,6 +14,8 @@ breakpoint and midpoint: the reference the rank-count audit must match.
 The scalar closure distance is the four-exit formula one pair at a time, the
 reference the blocked ``closure.point_distances`` must reproduce exactly;
 the certificate and witness oracles walk their pairs with it in nested loops.
+The scalar crossing check walks the half x half grid of prefix strings
+through ``has_edge``, the reference for the one-mask ``lcp_crossing_check``.
 
 The scalar graph is the per-edge ``WeightedGraph`` constructor loop with
 the degree and adjacency loops, and the scalar APSP runs undirected
@@ -47,7 +49,7 @@ from doubling import (
 )
 from doubling.closure import AuditResult, ConvPoint
 from doubling.cover import min_ball_cover
-from doubling.instances import PackingCertificate
+from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
 from doubling.net_tree import tau_for
 
@@ -281,6 +283,19 @@ def scalar_pair_window(g: WeightedGraph, pts) -> tuple[float, float]:
             d = scalar_conv_distance(g, pts[i], pts[j])
             lo, hi = min(lo, d), max(hi, d)
     return lo, hi
+
+
+def scalar_lcp_crossing_check(h: WeightedGraph, p: int) -> CrossingReport:
+    """``lcp_crossing_check`` walking the half x half grid through ``has_edge``."""
+    n, half = 1 << p, (1 << p) // 2
+    present, missing = 0, None
+    for x in range(half):
+        for y in range(half, n):
+            if h.has_edge(x, y):
+                present += 1
+            elif missing is None:
+                missing = (x, y)
+    return CrossingReport(present, half * half, missing)
 
 
 def scalar_crossing_midpoint_packing(h: WeightedGraph, p: int) -> PackingCertificate:

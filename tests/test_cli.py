@@ -115,6 +115,13 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(config)
 
+    def test_certify_lcp_needs_the_lcp_family(self):
+        config = RunConfig(
+            pipeline="certify-lcp", instance=InstanceSpec(family="exponential-star", n=3, p=2)
+        )
+        with pytest.raises(ConfigError):
+            run(config)
+
     def test_certify_lcp_defaults_epsilon_by_size(self):
         config = RunConfig(
             pipeline="certify-lcp", instance=InstanceSpec(family="lcp-hypercube", p=2)
@@ -228,6 +235,18 @@ class TestMain:
         monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
         assert main(["certify-lcp", "--p", "40"]) == 2
         assert "memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["certify-star", "--n", "0", "--epsilon", "0.25"], "need at least one leaf"),
+            (["certify-lcp", "--p", "0"], "need strings of positive length"),
+            (["certify-lcp", "--p", "-3"], "need strings of positive length"),
+        ],
+    )
+    def test_certify_size_the_generator_refuses_is_a_usage_error(self, capsys, argv, reason):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
     def test_certificate_commands(self, capsys):
         assert main(["certify-star", "--n", "4", "--epsilon", "0.25"]) == 0

@@ -5,7 +5,7 @@
 ``donate_edges`` groups and merges the in-edges with ``lexsort``; ``oracles``
 keeps the per-node tree, the ``seen``-set candidates and the dict-based
 donation. Every layer must match exactly: nets, parents, istar, every level
-ancestor, edge sets, directed triples, spanner records and graph edges.
+ancestor, edge sets, directed rows, spanner records and graph edges.
 """
 
 import numpy as np
@@ -55,6 +55,10 @@ def comb() -> FiniteMetric:
     return FiniteMetric(np.abs(np.subtract.outer(pos, pos)), validate=False)
 
 
+def as_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(row) for row in rows.tolist()]
+
+
 def assert_matches_oracles(m: FiniteMetric, eps: float) -> int:
     """Check every layer against its oracle; returns the donated record count."""
     t = build_net_tree(m, eps)
@@ -71,12 +75,13 @@ def assert_matches_oracles(m: FiniteMetric, eps: float) -> int:
             assert level_ancestor_label(t, v, i) == scalar_level_ancestor(levels, v, i)
 
     sets = build_base_edge_sets(m, t, eps)
-    assert sets == scalar_base_edge_sets(t.scaled_dist, levels, cover_constant(eps))
+    pairs = [as_tuples(level) for level in sets]
+    assert pairs == scalar_base_edge_sets(t.scaled_dist, levels, cover_constant(eps))
     directed = assign_directions(sets, t)
-    assert directed == scalar_directions(sets, istar_of)
+    assert as_tuples(directed) == scalar_directions(pairs, istar_of)
 
     s = donate_edges(directed, m, eps, net_tree=t)
-    expected = scalar_donation(directed, m.dist, donation_threshold(eps))
+    expected = scalar_donation(as_tuples(directed), m.dist, donation_threshold(eps))
     assert [(r.u, r.v, r.length, r.level, r.donor) for r in s.edges] == expected
     assert list(s.graph.edges) == [(min(u, v), max(u, v), w) for u, v, w, _, _ in expected]
     assert all(r.kind_v == ("B" if r.donor is None else "C") for r in s.edges)
@@ -122,9 +127,9 @@ def test_donation_ignores_the_input_order(seed):
     m = two_armed_comb()
     t = build_net_tree(m, 0.25)
     directed = assign_directions(build_base_edge_sets(m, t, 0.25), t)
-    shuffled = [directed[k] for k in np.random.default_rng(seed).permutation(len(directed))]
+    shuffled = directed[np.random.default_rng(seed).permutation(len(directed))]
     s = donate_edges(shuffled, m, 0.25)
-    expected = scalar_donation(directed, m.dist, donation_threshold(0.25))
+    expected = scalar_donation(as_tuples(directed), m.dist, donation_threshold(0.25))
     assert [(r.u, r.v, r.length, r.level, r.donor) for r in s.edges] == expected
     assert sum(r.donor is not None for r in s.edges) > 2
 
@@ -139,3 +144,31 @@ def test_geometric_progression_comb(eps):
 @pytest.mark.parametrize("p", range(1, 6))
 def test_prefix_metric(p, eps):
     assert_matches_oracles(lcp_metric(p), eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40), dim=st.sampled_from([2, 3]), eps=eps_st)
+def test_each_level_is_strictly_ascending(seed, n, dim, eps):
+    """``assign_directions`` keeps its input order, so each level must already
+    hold its pairs ``a < b`` in strictly ascending order."""
+    for m in (random_euclidean(n, dim, seed), integer_grid(seed, min(n, 5**dim), dim)):
+        for pairs in build_base_edge_sets(m, build_net_tree(m, eps), eps):
+            assert pairs.ndim == 2 and pairs.shape[1] == 2
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            rows = as_tuples(pairs)
+            assert all(x < y for x, y in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize(
+    "m", [lcp_metric(4), random_euclidean(60, 2, 3), shortest_path_metric(exponential_star(24))]
+)
+def test_candidate_count_is_the_pair_and_row_count(m):
+    """The benchmark traces ``sum(map(len, sets))`` as its candidate edge
+    count: it must be the number of candidate pairs and of directed rows."""
+    t = build_net_tree(m, 0.25)
+    sets = build_base_edge_sets(m, t, 0.25)
+    levels = scalar_net_tree(m, 0.25)[1]
+    pairs = scalar_base_edge_sets(t.scaled_dist, levels, cover_constant(0.25))
+    count = sum(map(len, sets))
+    assert count == sum(map(len, pairs))
+    assert assign_directions(sets, t).shape == (count, 3)

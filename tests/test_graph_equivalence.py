@@ -192,7 +192,7 @@ def test_apsp_matches_on_built_graphs(build):
 
 def eager_records(directed, m, eps):
     """The records as the donation used to build them, one object per edge."""
-    rows = scalar_donation(directed, m.dist, donation_threshold(eps))
+    rows = scalar_donation(directed.tolist(), m.dist, donation_threshold(eps))
     return tuple(SpannerEdge(u, v, w, level, donor) for u, v, w, level, donor in rows)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubling import (
     FiniteMetric,
@@ -20,6 +22,7 @@ from doubling import (
     star_lb_certificate,
 )
 from doubling import metric
+from oracles import scalar_lcp_crossing_check
 
 
 def full_prefix_graph(p: int) -> WeightedGraph:
@@ -195,6 +198,27 @@ class TestCrossingCheck:
         m = shortest_path_metric(pruned)
         # two hops through either half: well past the 1 + 2^-(p+1) window
         assert m.d(0, 2) / lcp_metric(2).d(0, 2) == 1.5
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_each_single_gap_is_the_first_missing(self, p):
+        g = full_prefix_graph(p)
+        half = 1 << (p - 1)
+        for x in range(half):
+            for y in range(half, 2 * half):
+                pruned = WeightedGraph(g.n_vertices, [e for e in g.edges if e[:2] != (x, y)])
+                rep = lcp_crossing_check(pruned, p)
+                assert rep == scalar_lcp_crossing_check(pruned, p)
+                assert rep.missing == (x, y) and rep.present == half * half - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 4), data=st.data())
+def test_crossing_check_matches_the_grid_walk(p, data):
+    """Any subset of the complete prefix graph's edges, crossing or not."""
+    edges = full_prefix_graph(p).edges
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    g = WeightedGraph(1 << p, [e for e, kept in zip(edges, keep) if kept])
+    assert lcp_crossing_check(g, p) == scalar_lcp_crossing_check(g, p)
 
 
 class TestCrossingMidpoints:

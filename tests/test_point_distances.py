@@ -22,6 +22,7 @@ from doubling import (
     complete_tree,
     crossing_midpoint_packing,
     exponential_star,
+    lcp_crossing_check,
     lcp_metric,
     long_edge_audit,
     random_tree,
@@ -41,6 +42,7 @@ from oracles import (
     bit_length_lcp_matrix,
     scalar_conv_distance,
     scalar_crossing_midpoint_packing,
+    scalar_lcp_crossing_check,
     scalar_packing_witness,
     scalar_pair_window,
 )
@@ -138,6 +140,7 @@ def test_crossing_midpoint_packing_matches_the_loop(monkeypatch, budget, p):
     graphs = [lcp_spanner(p)] + [without_crossings(p, k) for k in (2, 5) if p > 2]
     for g in graphs:
         assert crossing_midpoint_packing(g, p) == scalar_crossing_midpoint_packing(g, p)
+        assert lcp_crossing_check(g, p) == scalar_lcp_crossing_check(g, p)
 
 
 @pytest.mark.parametrize("shortfall,ok", [(1e-9, True), (3e-9, False)])

@@ -56,29 +56,29 @@ class TestBaseEdgeSets:
         m = uniform4()
         t = build_net_tree(m, 0.25)
         sets = build_base_edge_sets(m, t, 0.25)
-        assert sets[0] == []
-        assert sets[1] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        assert all(not s for s in sets[2:])
+        assert sets[0].tolist() == []
+        assert sets[1].tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        assert all(s.size == 0 for s in sets[2:])
 
     def test_collinear_long_pair_enters_level_two(self):
         # scaled distances 256, 256, 512: 512 clears C*r_1 = 264 but not 528
         m = collinear3()
         t = build_net_tree(m, 0.25)
         sets = build_base_edge_sets(m, t, 0.25)
-        assert sets[1] == [(0, 1), (1, 2)]
-        assert sets[2] == [(0, 2)]
+        assert sets[1].tolist() == [[0, 1], [1, 2]]
+        assert sets[2].tolist() == [[0, 2]]
 
     def test_single_point(self):
         m = FiniteMetric([[0.0]])
         t = build_net_tree(m, 0.25)
-        assert all(not s for s in build_base_edge_sets(m, t, 0.25))
+        assert all(s.size == 0 for s in build_base_edge_sets(m, t, 0.25))
 
     def test_every_pair_appears_once(self, lcp4_spanner):
         m = lcp4_spanner.net_tree
         sets = build_base_edge_sets(
             FiniteMetric(m.scaled_dist / m.scale, validate=False), m, lcp4_spanner.eps
         )
-        seen = [p for s in sets for p in s]
+        seen = [tuple(p) for s in sets for p in s.tolist()]
         assert len(seen) == len(set(seen))
 
 
@@ -89,18 +89,18 @@ class TestDirections:
         directed = assign_directions(build_base_edge_sets(m, t, 0.25), t)
         # 0 survives to the top, so everything touching it flows into 0;
         # equal-istar pairs break toward the larger id
-        assert directed == [
-            (1, 0, 1),
-            (2, 0, 1),
-            (3, 0, 1),
-            (1, 2, 1),
-            (1, 3, 1),
-            (2, 3, 1),
+        assert directed.tolist() == [
+            [1, 0, 1],
+            [2, 0, 1],
+            [3, 0, 1],
+            [1, 2, 1],
+            [1, 3, 1],
+            [2, 3, 1],
         ]
 
     def test_empty_input(self):
         t = build_net_tree(uniform4(), 0.25)
-        assert assign_directions([[]], t) == []
+        assert assign_directions([np.empty((0, 2), dtype=np.intp)], t).tolist() == []
 
 
 class TestDonation:
@@ -230,12 +230,30 @@ class TestSerialization:
             ("meta 0 1 level=1 kind=B donor=2", "kind=B disagrees with donor=2"),
             ("meta 0 1 level=1 kind=C donor=-1", "donor=-1 names no vertex"),
             ("meta 0 1 level=1 kind=C donor=3", "donor=3 names no vertex"),
+            ("meta 1 2 level=2 kind=B donor=-", r"a second meta record for edge \(1,2\)"),
+            ("meta 2 1 level=1 kind=B donor=-", r"a second meta record for edge \(2,1\)"),
         ],
     )
     def test_malformed_meta_names_its_line(self, tmp_path, meta, reason):
         p = tmp_path / "bad.spanner"
         p.write_text(f"graph 3\n# edges\ne 0 1 1.0\ne 1 2 1.0\nmeta 1 2 level=1 kind=B donor=-\n{meta}\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:6: .*{reason}"):
+            load_spanner(str(p), 0.25)
+
+    @pytest.mark.parametrize(
+        "text,line,reason",
+        [
+            # the first edge without a record, at the last data line (a comment is none)
+            ("graph 3\ne 0 1 1.0\ne 1 2 1.0\nmeta 0 1 level=1 kind=B donor=-\n", 4, "(1,2)"),
+            ("graph 3\ne 0 1 1.0\ne 1 2 1.0\nmeta 1 2 level=1 kind=B donor=-\n# end\n", 4, "(0,1)"),
+            ("graph 2\ne 0 1 1.0\n", 2, "(0,1)"),
+        ],
+    )
+    def test_an_edge_without_meta_names_the_last_line(self, tmp_path, text, line, reason):
+        p = tmp_path / "bad.spanner"
+        p.write_text(text)
+        match = rf"^{re.escape(str(p))}:{line}: edge {re.escape(reason)} has no meta record$"
+        with pytest.raises(ValueError, match=match):
             load_spanner(str(p), 0.25)
 
     def test_records_read_back_as_written(self, tmp_path):
