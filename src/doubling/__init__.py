@@ -62,6 +62,7 @@ from .metric import (
     FiniteMetric,
     StretchReport,
     WeightedGraph,
+    distance_rows,
     doubling_estimate,
     greedy_net,
     load_graph,
@@ -90,6 +91,7 @@ from .spanner import (
     cover_constant,
     donation_threshold,
     load_spanner,
+    prune_edges,
     save_spanner,
 )
 

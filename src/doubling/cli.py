@@ -151,7 +151,13 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
         report.add("scale", {"scale": s.net_tree.scale})
         report.add("stretch", _stretch_section(s.stretch))
         report.add(
-            "degree", {"max_degree": s.max_degree, "n_edges": len(s.graph.edges)}
+            "degree",
+            {
+                "max_degree": s.max_degree,
+                "n_edges": s.graph.w.size,
+                "raw_max_degree": s.raw_max_degree,
+                "raw_n_edges": s.raw_n_edges,
+            },
         )
         report.add("long_edges", _audit_section(closure.long_edge_audit(s.graph)))
         dims = _input_dims(m, config)

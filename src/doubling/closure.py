@@ -18,9 +18,11 @@ import numpy as np
 from .errors import EmptyLongEdgeSet, InvalidPoint, VerificationError
 from .metric import (
     REL_TOL,
+    ROW_BLOCK,
     DimensionEstimate,
     FiniteMetric,
     WeightedGraph,
+    distance_rows,
     doubling_estimate,
     packing_lower_bound,
     shortest_path_metric,
@@ -347,10 +349,11 @@ class AuditResult:
     per_vertex_profile: dict[int, int]
 
 
-def _long_edges(g: WeightedGraph, D: np.ndarray, u: int, r: float) -> list[tuple[int, int]]:
-    """Edges with an endpoint within ``r`` of ``u`` and length above ``r``,
-    in ``g.edges`` order: one mask, independent of the audit's scan."""
-    mask = (np.minimum(D[u, g.u], D[u, g.v]) <= r) & (g.w > r)
+def _long_edges(g: WeightedGraph, row: np.ndarray, r: float) -> list[tuple[int, int]]:
+    """Edges with an endpoint within ``r`` of the vertex whose distance row
+    is ``row`` and length above ``r``, in ``g.edges`` order: one mask,
+    independent of the audit's scan."""
+    mask = (np.minimum(row[g.u], row[g.v]) <= r) & (g.w > r)
     return list(zip(g.u[mask].tolist(), g.v[mask].tolist()))
 
 
@@ -380,10 +383,13 @@ def long_edge_audit(g: WeightedGraph) -> AuditResult:
     which it first hits at ``e1 / 2`` with ``e1`` the smallest positive
     breakpoint. A first maximum at distance 0 is therefore reported at
     ``e1 / 2``, and results are unchanged from that grid census.
+
+    Each vertex's distances are its own Dijkstra row (:func:`distance_rows`,
+    read in blocks of ``ROW_BLOCK`` vertices), so a recount by single-source
+    Dijkstra from the witness vertex finds exactly the witness edges.
     """
     if not g.w.size:
         return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
-    D = shortest_path_metric(g).dist
     n = g.n_vertices
     by_length = np.argsort(g.w, kind="stable")
     a, b, lengths = g.u[by_length], g.v[by_length], g.w[by_length]
@@ -391,30 +397,34 @@ def long_edge_audit(g: WeightedGraph) -> AuditResult:
     best_count = 0
     best_vertex = 0
     best_radius = 0.0
+    best_row = np.zeros(n)
     profile: dict[int, int] = {}
     rank = np.empty(n, dtype=np.intp)
-    for u in range(n):
-        order = np.argsort(D[u], kind="stable")
-        ds = D[u, order]
-        rank[order] = np.arange(n)
-        key = np.minimum(rank[a], rank[b])  # ds[key] is each edge's dmin
-        dmin = ds[key]
-        active = np.flatnonzero(lengths > dmin)
-        # counts[i]: active starts at or below ds[i] minus active stops there
-        tie_end = np.searchsorted(ds, ds, side="right") - 1
-        starts = np.bincount(key[active], minlength=n).cumsum()[tie_end]
-        stops = np.searchsorted(active, np.searchsorted(lengths, ds, side="right"))
-        counts = starts - stops
-        k = int(np.argmax(counts))
-        profile[u] = int(counts[k])
-        if profile[u] > best_count:
-            best_count = profile[u]
-            best_vertex = u
-            best_radius = float(ds[k])
-            if best_radius == 0.0:
-                best_radius = float(np.min(dmin, where=dmin > 0.0, initial=lengths[0])) / 2.0
+    for lo in range(0, n, ROW_BLOCK):
+        rows = distance_rows(g, np.arange(lo, min(lo + ROW_BLOCK, n)))
+        for u, row in enumerate(rows, start=lo):
+            order = np.argsort(row, kind="stable")
+            ds = row[order]
+            rank[order] = np.arange(n)
+            key = np.minimum(rank[a], rank[b])  # ds[key] is each edge's dmin
+            dmin = ds[key]
+            active = np.flatnonzero(lengths > dmin)
+            # counts[i]: active starts at or below ds[i] minus active stops there
+            tie_end = np.searchsorted(ds, ds, side="right") - 1
+            starts = np.bincount(key[active], minlength=n).cumsum()[tie_end]
+            stops = np.searchsorted(active, np.searchsorted(lengths, ds, side="right"))
+            counts = starts - stops
+            k = int(np.argmax(counts))
+            profile[u] = int(counts[k])
+            if profile[u] > best_count:
+                best_count = profile[u]
+                best_vertex = u
+                best_row = row
+                best_radius = float(ds[k])
+                if best_radius == 0.0:
+                    best_radius = float(np.min(dmin, where=dmin > 0.0, initial=lengths[0])) / 2.0
 
-    witness_edges = tuple(_long_edges(g, D, best_vertex, best_radius))
+    witness_edges = tuple(_long_edges(g, best_row, best_radius))
     if len(witness_edges) != best_count:
         raise AssertionError("audit recount disagrees with the scan")
     return AuditResult(best_count, (best_vertex, best_radius, witness_edges), profile)
@@ -430,13 +440,13 @@ def long_edge_packing_witness(g: WeightedGraph, u: int, r: float) -> list[ConvPo
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    D = shortest_path_metric(g).dist
-    edges = _long_edges(g, D, u, r)
+    row = distance_rows(g, [u])[0]
+    edges = _long_edges(g, row, r)
     if not edges:
         raise EmptyLongEdgeSet(f"no long edges at vertex {u}, radius {r!r}")
     points = []
     for a, b in edges:
-        da, db = float(D[u, a]), float(D[u, b])
+        da, db = float(row[a]), float(row[b])
         near_is_a = da < db or (da == db and a < b)
         length = g.edge_length(a, b)
         x = r / 2.0 if near_is_a else length - r / 2.0

@@ -130,24 +130,23 @@ def min_cover_bitmask(
                 if best_size <= prune_at:
                     raise _Abort
             return
-        remaining = (full & ~covered).bit_count()
-        bound = len(chosen) + math.ceil(remaining / max_set_bits)
+        uncovered = full & ~covered
+        bound = len(chosen) + math.ceil(uncovered.bit_count() / max_set_bits)
         if bound >= best_size:
             return
-        # branch on the uncovered element with the fewest candidate sets
-        pick, pick_cands = -1, None
-        rem = full & ~covered
+        # branch on the uncovered element with the fewest candidate sets;
+        # every set holding an uncovered element still covers something new
+        pick_cands: list[int] | None = None
+        rem = uncovered
         while rem:
             b = (rem & -rem).bit_length() - 1
-            cands = [k for k in covered_by[b] if sets[k] & ~covered]
-            if pick_cands is None or len(cands) < len(pick_cands):
-                pick, pick_cands = b, cands
-                if len(cands) == 1:
+            if pick_cands is None or len(covered_by[b]) < len(pick_cands):
+                pick_cands = covered_by[b]
+                if len(pick_cands) == 1:
                     break
             rem &= rem - 1
         assert pick_cands is not None
-        pick_cands.sort(key=lambda k: (-(sets[k] & ~covered).bit_count(), k))
-        for k in pick_cands:
+        for k in sorted(pick_cands, key=lambda k: (-(sets[k] & uncovered).bit_count(), k)):
             chosen.append(k)
             search(covered | sets[k], chosen)
             chosen.pop()
@@ -158,12 +157,6 @@ def min_cover_bitmask(
     except _Abort:
         aborted = True
     return best_size, best_choice, aborted
-
-
-def _ball_mask(D: np.ndarray, universe: np.ndarray, center: int, r: float) -> int:
-    """The radius-``r`` ball around ``center`` as a bitmask: bit k is ``universe[k]``."""
-    inside = D[center][universe] <= r
-    return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
 
 
 def min_ball_cover(
@@ -179,22 +172,34 @@ def min_ball_cover(
     Duplicate and dominated candidate balls are discarded before the search,
     keeping the lowest center id of each surviving mask as its witness.
     ``ub_centers`` and ``prune_at`` are passed through to the bitmask solver.
+    All balls are packed into bitmasks in one pass, and the containment test
+    runs on all pairs of distinct masks at once.
     """
     full = (1 << universe.size) - 1
+    ball = D[:, universe] <= r
+    packed = np.packbits(ball, axis=1, bitorder="little").tobytes()
+    width = len(packed) // D.shape[0]
+    mask_of = [
+        int.from_bytes(packed[y * width : (y + 1) * width], "little") for y in range(D.shape[0])
+    ]
     mask_owner: dict[int, int] = {}
-    for y in range(D.shape[0]):
-        mask = _ball_mask(D, universe, y, r)
+    for y, mask in enumerate(mask_of):
         if mask and mask not in mask_owner:
             mask_owner[mask] = y
     masks = sorted(mask_owner)
-    # drop masks strictly contained in another candidate
-    sets = [s for s in masks if not any(s != t and s & t == s for t in masks)]
+    # drop masks strictly contained in another candidate: entry (s, t) counts
+    # the points of ball s outside ball t (exact in float64), zero when s is
+    # inside t, and distinct masks never contain each other both ways
+    members = ball[[mask_owner[s] for s in masks]].astype(np.float64)
+    inside = members @ (1.0 - members).T == 0.0
+    np.fill_diagonal(inside, False)
+    sets = [s for s, dominated in zip(masks, inside.any(axis=1).tolist()) if not dominated]
     owners = [mask_owner[s] for s in sets]
 
     ub_idx: list[int] = []
     covered = 0
     for c in ub_centers:
-        mask = _ball_mask(D, universe, c, r)
+        mask = mask_of[c]
         # map the greedy center onto a surviving candidate containing its ball
         for k, s in enumerate(sets):
             if mask & s == mask:

@@ -27,6 +27,7 @@ __all__ = [
     "DimensionEstimate",
     "StretchReport",
     "shortest_path_metric",
+    "distance_rows",
     "greedy_net",
     "doubling_estimate",
     "packing_lower_bound",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 REL_TOL = 1e-9
+
+# Sources per Dijkstra call when a caller reads distance rows block by
+# block: 256 rows of n distances live at a time.
+ROW_BLOCK = 256
 
 # Entries (rows x points) per block of the batched greedy scan in the
 # dimension sweeps: a 1 MiB live mask plus an 8 MiB block of distance rows.
@@ -244,6 +249,16 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n_vertices}, m={self.w.size})"
 
 
+def _require_connected(g: WeightedGraph) -> None:
+    """Raise :class:`DisconnectedGraph`, naming one vertex per component,
+    when the graph is not connected."""
+    labels = g.component_labels()
+    if labels.max(initial=0) > 0:
+        rep_a = int(np.flatnonzero(labels == 0)[0])
+        rep_b = int(np.flatnonzero(labels != 0)[0])
+        raise DisconnectedGraph(rep_a, rep_b)
+
+
 def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     """All-pairs shortest-path metric of a connected graph.
 
@@ -252,11 +267,7 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     """
     if g._metric is not None:
         return g._metric
-    labels = g.component_labels()
-    if labels.max(initial=0) > 0:
-        rep_a = int(np.flatnonzero(labels == 0)[0])
-        rep_b = int(np.flatnonzero(labels != 0)[0])
-        raise DisconnectedGraph(rep_a, rep_b)
+    _require_connected(g)
     # the CSR already holds both directions of every edge, so the directed
     # search sees the same candidate sums as an undirected one
     D = dijkstra(g.csr, directed=True)
@@ -266,6 +277,22 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     m = FiniteMetric(D, validate=False)
     g._metric = m
     return m
+
+
+def distance_rows(g: WeightedGraph, sources: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Shortest-path distances from each source to every vertex of a
+    connected graph, one row per source: single-source Dijkstra on the
+    cached CSR, directed (the CSR holds both directions of every edge).
+
+    The rows are not symmetrised, so entry (k, v) is exactly what Dijkstra
+    from ``sources[k]`` finds, which can differ in the last bit from
+    :func:`shortest_path_metric`. Callers that need all n rows read them
+    in blocks of ``ROW_BLOCK`` sources. Raises :class:`DisconnectedGraph`
+    as :func:`shortest_path_metric` does.
+    """
+    _require_connected(g)
+    sources = np.asarray(sources, dtype=np.intp)
+    return dijkstra(g.csr, directed=True, indices=sources).reshape(sources.size, g.n_vertices)
 
 
 def greedy_net(m: FiniteMetric, r: float, points: Sequence[int] | None = None) -> list[int]:

@@ -4,7 +4,8 @@ Candidate edges connect net points of the same level at distances up to a
 fixed multiple of the level radius; each edge is then directed toward the
 endpoint that survives longer in the nets, and vertices with too many
 in-edge levels donate their oldest excess groups to a nearby earlier
-neighbour, re-measuring the moved edges.
+neighbour, re-measuring the moved edges. A path greedy then keeps only the
+raw (donated) edges that some pair needs for its (1+eps) stretch.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import VerificationError
 from .metric import (
+    REL_TOL,
     FiniteMetric,
     StretchReport,
     WeightedGraph,
@@ -38,6 +41,7 @@ __all__ = [
     "build_base_edge_sets",
     "assign_directions",
     "donate_edges",
+    "prune_edges",
     "build_spanner",
     "save_spanner",
     "load_spanner",
@@ -99,13 +103,19 @@ class SpannerRecords(NamedTuple):
 class Spanner:
     """The spanner graph plus its edge records, kept as columns;
     :attr:`edges` builds the ``SpannerEdge`` records on first read.
-    Spanners compare by identity, as their graphs do."""
+    Spanners compare by identity, as their graphs do.
+
+    ``raw_max_degree`` and ``raw_n_edges`` describe the donated spanner this
+    one was pruned from (a donated spanner's own figures); a loaded spanner
+    has None there."""
 
     graph: WeightedGraph
     records: SpannerRecords
     eps: float
     net_tree: NetTree | None
     max_degree: int
+    raw_max_degree: int | None = None
+    raw_n_edges: int | None = None
     stretch: StretchReport | None = None
 
     @functools.cached_property
@@ -205,16 +215,139 @@ def donate_edges(
     records = SpannerRecords(tail[keep], target[keep], length[keep], level[keep], donor[keep])
     graph = WeightedGraph(m.n, np.column_stack((lo[keep], hi[keep], records.length)))
     max_degree = max(graph.degrees(), default=0)
-    return Spanner(graph, records, eps, net_tree, max_degree)
+    return Spanner(graph, records, eps, net_tree, max_degree, max_degree, graph.w.size)
+
+
+# Sorted pairs the path greedy tests against its distance matrix at once.
+_GREEDY_BLOCK = 256
+
+
+def _add_edge(D: np.ndarray, x: int, y: int, w: float) -> None:
+    """Lower the shortest-path matrix ``D`` in place for a new edge (x, y, w).
+
+    Only D[i, j] with ``D[i, x] + w < D[i, y]`` (i reaches y better through
+    the edge) and ``D[j, y] + w < D[j, x]`` can improve, to
+    ``D[i, x] + w + D[y, j]``; its mirror entry gets the same value, so
+    ``D`` stays exactly symmetric and rows can stand for columns."""
+    to_x, to_y = D[x], D[y]
+    I = np.flatnonzero(to_x + w < to_y)[:, None]
+    J = np.flatnonzero(to_y + w < to_x)
+    lowered = np.minimum(D[I, J], (to_x[I] + w) + to_y[J])
+    D[I, J] = lowered
+    D[J[:, None], I[:, 0]] = lowered.T
+
+
+def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
+    """The path greedy over all pairs, restricted to the edges of ``raw``.
+
+    Pairs (a, b) are visited in ascending (d(a, b), a, b) order against the
+    shortest-path distances D of the edges kept so far. A pair with
+    ``D[a, b] > (1+eps) d(a, b)`` gets its raw edge, or, when it has none,
+    the missing edges of its shortest path in ``raw`` (Dijkstra bounded by
+    (1+eps) d(a, b), within ``REL_TOL``; no such path raises
+    :class:`VerificationError` naming the pair). The kept edges are raw
+    edges, so the max degree stays at most the raw one, and every pair ends
+    within its (1+eps) stretch. The records are the raw records of the kept
+    edges; if every raw edge is kept, ``raw`` itself is returned.
+
+    The same edges as that per-pair loop, with less work:
+
+    - pairs are tested ``_GREEDY_BLOCK`` at a time against D as it stood
+      before the block; D only falls, so a pair that passes then passes
+      for good, and only the others (hits) are looked at one by one;
+    - a hit with ``min_z d(a, z) + d(z, b) > (1+eps) d(a, b) (1 + REL_TOL)``
+      over the other points z is forced: no route through a third point
+      can serve it, so it is kept without reading D (it must be a raw
+      edge). Its update of D waits until a hit that is not forced needs D;
+    - adding an edge rewrites only the entries of D it can lower
+      (:func:`_add_edge`).
+    """
+    n, eps, M = m.n, raw.eps, m.dist
+    g = raw.graph
+    raw_length = np.zeros((n, n))
+    raw_length[g.u, g.v] = g.w
+    a, b = np.triu_indices(n, k=1)
+    d = M[a, b]
+    order = np.lexsort((b, a, d))
+    a, b = a[order], b[order]
+    limit = (1.0 + eps) * d[order]
+    del d, order
+
+    D = np.full((n, n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    kept = np.zeros((n, n), dtype=bool)
+    waiting: list[tuple[int, int]] = []  # kept edges whose D update waits
+
+    def keep(x: np.ndarray, y: np.ndarray) -> None:
+        fresh = ~kept[x, y]
+        x, y = x[fresh], y[fresh]
+        kept[x, y] = True
+        waiting.extend(zip(x.tolist(), y.tolist()))
+
+    for lo in range(0, a.size, _GREEDY_BLOCK):
+        block = slice(lo, lo + _GREEDY_BLOCK)
+        hits = lo + np.flatnonzero(D[a[block], b[block]] > limit[block])
+        if not hits.size:
+            continue
+        x, y = a[hits], b[hits]
+        via = M[x] + M[y]
+        via[np.arange(hits.size), x] = np.inf
+        via[np.arange(hits.size), y] = np.inf
+        forced = via.min(axis=1, initial=np.inf) > limit[hits] * (1.0 + REL_TOL)
+        lacking = np.flatnonzero(forced & (raw_length[x, y] == 0.0))
+        if lacking.size:
+            k = lacking[0]
+            raise VerificationError(
+                f"the raw spanner has no path from {x[k]} to {y[k]}: the pair needs its own edge"
+            )
+        # the forced hits between two others are kept together
+        start = 0
+        for at in np.flatnonzero(~forced).tolist():
+            keep(x[start:at], y[start:at])
+            start = at + 1
+            for u, v in waiting:
+                _add_edge(D, u, v, raw_length[u, v])
+            waiting.clear()
+            k, xa, yb = int(hits[at]), int(x[at]), int(y[at])
+            if not D[xa, yb] > limit[k]:
+                continue
+            if raw_length[xa, yb]:
+                keep(x[at : at + 1], y[at : at + 1])
+                continue
+            bound = limit[k] * (1.0 + REL_TOL)
+            dist, pred = dijkstra(g.csr, indices=xa, return_predecessors=True, limit=bound)
+            if not dist[yb] <= bound:
+                raise VerificationError(
+                    f"the raw spanner has no path from {xa} to {yb} within {bound!r}"
+                )
+            walk = [yb]
+            while walk[-1] != xa:
+                walk.append(int(pred[walk[-1]]))
+            ends = np.sort(np.column_stack((walk[:-1], walk[1:])), axis=1)
+            keep(ends[:, 0], ends[:, 1])
+        keep(x[start:], y[start:])
+
+    kx, ky = np.nonzero(kept)
+    if kx.size == g.w.size:
+        return raw
+    rec = raw.records
+    raw_key = np.minimum(rec.u, rec.v) * n + np.maximum(rec.u, rec.v)
+    by_key = np.argsort(raw_key, kind="stable")
+    at = by_key[np.searchsorted(raw_key[by_key], kx * n + ky)]
+    records = SpannerRecords(*(column[at] for column in rec))
+    graph = WeightedGraph(n, np.column_stack((kx, ky, raw_length[kx, ky])))
+    max_degree = max(graph.degrees(), default=0)
+    return Spanner(graph, records, eps, raw.net_tree, max_degree, raw.max_degree, g.w.size)
 
 
 def build_spanner(m: FiniteMetric, eps: float) -> Spanner:
-    """Net-tree, candidate edges, directions, donation — then verify stretch."""
+    """Net-tree, candidate edges, directions, donation, pruning — then
+    verify stretch."""
     check_eps(eps)
     t = build_net_tree(m, eps)
     edge_sets = build_base_edge_sets(m, t, eps)
     directed = assign_directions(edge_sets, t)
-    spanner = donate_edges(directed, m, eps, net_tree=t)
+    spanner = prune_edges(donate_edges(directed, m, eps, net_tree=t), m)
     report = verify_stretch(m, shortest_path_metric(spanner.graph), eps)
     if not report.passed:
         raise VerificationError(
@@ -281,10 +414,15 @@ def _meta_record(graph: WeightedGraph, parts: list[str]) -> SpannerEdge:
     fields = dict(item.split("=", 1) for item in parts[2:])
     if sorted(fields) != ["donor", "kind", "level"]:
         raise ValueError("a meta record needs level=, kind= and donor=")
+    level = int(fields["level"])
+    if level < 1:
+        raise ValueError(f"level={level} is below 1, where the candidate levels start")
     donor = None if fields["donor"] == "-" else int(fields["donor"])
     if donor is not None and not 0 <= donor < graph.n_vertices:
         raise ValueError(f"donor={donor} names no vertex of the graph")
-    rec = SpannerEdge(u, v, graph.edge_length(u, v), int(fields["level"]), donor)
+    if donor in (u, v):
+        raise ValueError(f"donor={donor} is an endpoint of its own edge")
+    rec = SpannerEdge(u, v, graph.edge_length(u, v), level, donor)
     if fields["kind"] != rec.kind_v:
         raise ValueError(f"kind={fields['kind']} disagrees with donor={fields['donor']}")
     return rec

@@ -83,11 +83,22 @@ def lcp4_spanner():
 
 
 @pytest.fixture(scope="session")
-def euclidean_max_degrees():
+def planar_spanners():
+    """Spanners per (n, seed) on the planar uniform family at eps = 1/4."""
+    return {
+        (n, seed): build_spanner(random_euclidean(n, 2, seed), 0.25)
+        for n in (100, 400)
+        for seed in range(1, 6)
+    }
+
+
+@pytest.fixture(scope="session")
+def euclidean_max_degrees(planar_spanners):
     """Max spanner degree per (n, seed) on the planar uniform family."""
-    out: dict[tuple[int, int], int] = {}
-    for n in (100, 400):
-        for seed in range(1, 6):
-            s = build_spanner(random_euclidean(n, 2, seed), 0.25)
-            out[(n, seed)] = s.max_degree
-    return out
+    return {key: s.max_degree for key, s in planar_spanners.items()}
+
+
+@pytest.fixture(scope="session")
+def euclidean_raw_max_degrees(planar_spanners):
+    """Max degree of the donated spanner before pruning, per (n, seed)."""
+    return {key: s.raw_max_degree for key, s in planar_spanners.items()}

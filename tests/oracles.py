@@ -9,7 +9,8 @@ The scalar estimators are the dimension sweeps as one greedy scan per
 (center, radius) event, the reference the batched sweeps must reproduce
 bit for bit, witnesses included. The scalar audit is the long-edge census
 as one pair of sorts over every edge per vertex, evaluated at every
-breakpoint and midpoint: the reference the rank-count audit must match.
+breakpoint and midpoint, with each vertex's distances from its own
+single-source Dijkstra run: the reference the rank-count audit must match.
 
 The scalar closure distance is the four-exit formula one pair at a time, the
 reference the blocked ``closure.point_distances`` must reproduce exactly;
@@ -27,6 +28,10 @@ The scalar construction layers are the net-tree, candidate edges, directions
 and donation as per-node and per-edge Python records: a ``(label, parent)``
 pair per node, a ``seen`` set of pairs, and dicts of in-edges per head and of
 records per pair. The array-based builders must reproduce them exactly.
+
+The scalar path greedy is the pruning stage as a plain loop over every pair,
+the whole shortest-path matrix lowered after each kept edge: the reference
+whose kept edges the blocked, lazily updated ``prune_edges`` must match.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from doubling.cover import min_ball_cover
 from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
 from doubling.net_tree import tau_for
+from doubling.spanner import Spanner
 
 
 def brute_audit_max(g: WeightedGraph) -> int:
@@ -86,11 +92,26 @@ def brute_audit_max(g: WeightedGraph) -> int:
     return best
 
 
-def scalar_long_edges(g: WeightedGraph, D: np.ndarray, u: int, r: float) -> list[tuple[int, int]]:
-    """Edges with an endpoint within ``r`` of ``u`` and length above ``r``, one by one."""
+def scalar_row(g: WeightedGraph, u: int) -> np.ndarray:
+    """Distances from ``u`` to every vertex: undirected single-source
+    Dijkstra on a CSR built from Python lists, not symmetrised."""
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+    for a, b, w in g.edges:
+        rows += [a, b]
+        cols += [b, a]
+        data += [w, w]
+    graph = csr_matrix((data, (rows, cols)), shape=(g.n_vertices, g.n_vertices))
+    return dijkstra(graph, directed=False, indices=u)
+
+
+def scalar_long_edges(g: WeightedGraph, row: np.ndarray, r: float) -> list[tuple[int, int]]:
+    """Edges with an endpoint within ``r`` of the vertex whose distance row is
+    ``row`` and length above ``r``, one by one."""
     out = []
     for a, b, length in g.edges:
-        if min(float(D[u, a]), float(D[u, b])) <= r and length > r:
+        if min(float(row[a]), float(row[b])) <= r and length > r:
             out.append((a, b))
     return out
 
@@ -98,10 +119,11 @@ def scalar_long_edges(g: WeightedGraph, D: np.ndarray, u: int, r: float) -> list
 def scalar_long_edge_audit(g: WeightedGraph) -> AuditResult:
     """``long_edge_audit`` evaluated per vertex at every breakpoint (an
     endpoint distance or an edge length) and every midpoint between
-    consecutive breakpoints, both positive, by two sorts of all edges."""
+    consecutive breakpoints, both positive, by two sorts of all edges,
+    with each vertex's distances from its own Dijkstra run."""
     if not g.edges:
         return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
-    D = shortest_path_metric(g).dist
+    shortest_path_metric(g)  # raises DisconnectedGraph
     best_count = 0
     best_vertex = 0
     best_radius = 0.0
@@ -110,7 +132,8 @@ def scalar_long_edge_audit(g: WeightedGraph) -> AuditResult:
     ends_b = np.array([e[1] for e in g.edges], dtype=np.intp)
     lengths = np.array([e[2] for e in g.edges], dtype=np.float64)
     for u in range(g.n_vertices):
-        dmin = np.minimum(D[u, ends_a], D[u, ends_b])
+        row = scalar_row(g, u)
+        dmin = np.minimum(row[ends_a], row[ends_b])
         start_sorted = np.sort(dmin)
         stop_sorted = np.sort(np.maximum(dmin, lengths))
         events = np.unique(np.concatenate([dmin, lengths]))
@@ -125,7 +148,7 @@ def scalar_long_edge_audit(g: WeightedGraph) -> AuditResult:
             best_count = profile[u]
             best_vertex = u
             best_radius = float(radii[k])
-    witness_edges = tuple(scalar_long_edges(g, D, best_vertex, best_radius))
+    witness_edges = tuple(scalar_long_edges(g, scalar_row(g, best_vertex), best_radius))
     assert len(witness_edges) == best_count
     return AuditResult(best_count, (best_vertex, best_radius, witness_edges), profile)
 
@@ -328,10 +351,10 @@ def scalar_packing_witness(
 ) -> list[ConvPoint]:
     """``long_edge_packing_witness`` with one scalar distance per pair,
     raising the same error at the first point or pair out of bounds."""
-    D = shortest_path_metric(g).dist
+    row = scalar_row(g, u)
     points = []
-    for a, b in scalar_long_edges(g, D, u, r):
-        da, db = float(D[u, a]), float(D[u, b])
+    for a, b in scalar_long_edges(g, row, r):
+        da, db = float(row[a]), float(row[b])
         near_is_a = da < db or (da == db and a < b)
         x = r / 2.0 if near_is_a else g.edge_length(a, b) - r / 2.0
         points.append(ConvPoint.on_edge(a, b, x))
@@ -512,3 +535,41 @@ def scalar_apsp(n_vertices: int, edges) -> np.ndarray:
     graph = csr_matrix((data, (rows, cols)), shape=(n_vertices, n_vertices))
     D = dijkstra(graph, directed=False)
     return np.minimum(D, D.T)
+
+
+def scalar_path_greedy(raw: Spanner, m: FiniteMetric) -> list[tuple[int, int]]:
+    """The pairs (a, b) kept by the path greedy over ``raw``, ascending.
+
+    Pairs are visited one at a time in ascending (d, a, b) order. One whose
+    current graph distance exceeds (1+eps) d gets its raw edge, or else the
+    raw edges its bounded raw shortest path is missing; every kept edge
+    lowers the full matrix through both of its directions at once."""
+    n, eps = m.n, raw.eps
+    length = {(u, v): w for u, v, w in raw.graph.edges}
+    D = np.full((n, n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    kept: set[tuple[int, int]] = set()
+
+    def add(x: int, y: int) -> None:
+        kept.add((x, y))
+        via = (D[:, x] + length[(x, y)])[:, None] + D[y][None, :]
+        np.minimum(D, np.minimum(via, via.T), out=D)
+
+    for d, a, b in sorted((float(m.dist[a, b]), a, b) for a in range(n) for b in range(a + 1, n)):
+        t = (1.0 + eps) * d
+        if not D[a, b] > t:
+            continue
+        if (a, b) in length:
+            add(a, b)
+            continue
+        bound = t * (1.0 + REL_TOL)
+        dist, pred = dijkstra(raw.graph.csr, indices=a, return_predecessors=True, limit=bound)
+        if not dist[b] <= bound:
+            raise VerificationError(f"no raw path from {a} to {b}")
+        v = b
+        while v != a:
+            u = int(pred[v])
+            if (min(u, v), max(u, v)) not in kept:
+                add(min(u, v), max(u, v))
+            v = u
+    return sorted(kept)

@@ -115,7 +115,8 @@ class TestDonation:
     def test_progression_donates_exactly_two_groups(self):
         """Ranks 15 and 16 at vertex 0 move to the rank-1 and rank-2 tails."""
         m = geometric_progression_metric()
-        s = build_spanner(m, 0.25)
+        t = build_net_tree(m, 0.25)
+        s = donate_edges(assign_directions(build_base_edge_sets(m, t, 0.25), t), m, 0.25)
         donated = [r for r in s.edges if r.kind_v == "C"]
         assert [(r.u, r.v, r.level, r.donor) for r in donated] == [
             (15, 1, 15, 0),
@@ -183,9 +184,10 @@ class TestBuildSpanner:
         assert a.edges == b.edges
         assert a.graph.edges == b.graph.edges
 
-    def test_planar_uniform_degree_regression(self, euclidean_max_degrees):
-        """Recorded max degrees on the seeded planar corpus at eps = 1/4."""
-        assert euclidean_max_degrees == {
+    def test_planar_uniform_degree_regression(self, euclidean_raw_max_degrees):
+        """Recorded max degrees of the donated (raw) spanners on the seeded
+        planar corpus at eps = 1/4."""
+        assert euclidean_raw_max_degrees == {
             (100, 1): 99,
             (100, 2): 99,
             (100, 3): 99,
@@ -230,6 +232,11 @@ class TestSerialization:
             ("meta 0 1 level=1 kind=B donor=2", "kind=B disagrees with donor=2"),
             ("meta 0 1 level=1 kind=C donor=-1", "donor=-1 names no vertex"),
             ("meta 0 1 level=1 kind=C donor=3", "donor=3 names no vertex"),
+            ("meta 0 1 level=-7 kind=C donor=2", "level=-7 is below 1"),
+            ("meta 0 1 level=0 kind=B donor=-", "level=0 is below 1"),
+            ("meta 0 1 level=1 kind=C donor=0", "donor=0 is an endpoint of its own edge"),
+            ("meta 1 0 level=1 kind=C donor=0", "donor=0 is an endpoint of its own edge"),
+            ("meta 0 1 level=1 kind=C donor=1", "donor=1 is an endpoint of its own edge"),
             ("meta 1 2 level=2 kind=B donor=-", r"a second meta record for edge \(1,2\)"),
             ("meta 2 1 level=1 kind=B donor=-", r"a second meta record for edge \(2,1\)"),
         ],
@@ -258,6 +265,6 @@ class TestSerialization:
 
     def test_records_read_back_as_written(self, tmp_path):
         p = tmp_path / "big.spanner"
-        p.write_text("graph 2\ne 0 1 1.5\nmeta 1 0 level=99999999999999999999 kind=C donor=1\n")
+        p.write_text("graph 3\ne 0 1 1.5\nmeta 1 0 level=99999999999999999999 kind=C donor=2\n")
         (rec,) = load_spanner(str(p), 0.25).edges
-        assert (rec.u, rec.v, rec.length, rec.level, rec.donor) == (1, 0, 1.5, 10**20 - 1, 1)
+        assert (rec.u, rec.v, rec.length, rec.level, rec.donor) == (1, 0, 1.5, 10**20 - 1, 2)
