@@ -323,8 +323,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{path}: not JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: a report file holds one JSON object")
+        if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
+            raise ConfigError(f"{path}: a report file holds one JSON object of sections")
         rep = RunReport(config=data.pop("config", {}))
         timings = data.pop("timings", {})
         rep.sections = list(data.items())

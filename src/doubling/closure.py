@@ -10,7 +10,7 @@ and a sampled doubling-dimension estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .metric import (
     DimensionEstimate,
     FiniteMetric,
     WeightedGraph,
+    _refuse_beyond_memory,
     distance_rows,
     doubling_estimate,
     packing_lower_bound,
@@ -220,16 +221,6 @@ def conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
     return float(point_distances(g, [p], [q])[0, 0])
 
 
-@dataclass
-class _Route:
-    """One realizing route: exit/entry segment costs plus a vertex walk."""
-
-    vertices: tuple[int, ...]
-    pieces: list[tuple[int, int, float, float]] = field(default_factory=list)
-    # each piece: (u, v, start, end) — move along edge {u,v} from offset
-    # `start` to offset `end`, both measured from u
-
-
 def _lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int, ...]:
     """Lexicographically smallest shortest vertex path from a to b.
 
@@ -273,18 +264,13 @@ def _lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int,
     raise AssertionError(f"no shortest-path walk from {a} reaches {b}")
 
 
-def _entry_piece(g: WeightedGraph, q: ConvPoint, b: int) -> tuple[int, int, float, float]:
-    u, v = q.edge  # type: ignore[misc]
-    start = 0.0 if b == u else g.edge_length(u, v)
-    return (u, v, start, q.offset)
-
-
 def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) -> ConvPoint:
     """The point at distance ``s`` from ``p`` along a shortest route to ``q``.
 
     Among routes realizing the distance, the one whose vertex sequence is
     lexicographically smallest is walked (a same-edge segment visits no
-    vertices and therefore wins every tie it enters).
+    vertices and therefore wins every tie it enters). The walk runs over
+    consecutive stops, p, the route's vertices and q, one edge per step.
     """
     total = conv_distance(g, p, q)
     if not -REL_TOL * total <= s <= total * (1.0 + REL_TOL):
@@ -293,46 +279,36 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
         return p
     D = shortest_path_metric(g).dist
     tol = REL_TOL * total
-
-    candidates: list[_Route] = []
+    walks: list[tuple[int, ...]] = []
     if not p.is_vertex and p.edge == q.edge and abs(p.offset - q.offset) <= total + tol:
-        u, v = p.edge  # type: ignore[misc]
-        candidates.append(_Route((), [(u, v, p.offset, q.offset)]))
+        walks.append(())
     for a, cost_p in _exits(g, p):
         for b, cost_q in _exits(g, q):
-            if abs(cost_p + float(D[a, b]) + cost_q - total) > tol:
-                continue
-            route = _Route(_lex_min_path(g, D, a, b))
-            if not p.is_vertex:
-                u, v = p.edge  # type: ignore[misc]
-                end = 0.0 if a == u else g.edge_length(u, v)
-                route.pieces.append((u, v, p.offset, end))
-            walk = route.vertices
-            for w1, w2 in zip(walk, walk[1:]):
-                cu, cv = (w1, w2) if w1 < w2 else (w2, w1)
-                length = g.edge_length(cu, cv)
-                if w1 == cu:
-                    route.pieces.append((cu, cv, 0.0, length))
-                else:
-                    route.pieces.append((cu, cv, length, 0.0))
-            if not q.is_vertex:
-                route.pieces.append(_entry_piece(g, q, b))
-            candidates.append(route)
-    if not candidates:
+            if abs(cost_p + float(D[a, b]) + cost_q - total) <= tol:
+                walks.append(_lex_min_path(g, D, a, b))
+    if not walks:
         raise AssertionError("no route realizes the computed distance")
-    route = min(candidates, key=lambda r: r.vertices)
+    stops = [ConvPoint.at_vertex(w) for w in min(walks)]
+    if not p.is_vertex:
+        stops.insert(0, p)
+    if not q.is_vertex:
+        stops.append(q)
 
     remaining = s
-    for cu, cv, start, end in route.pieces:
-        length = abs(end - start)
-        if remaining <= length:
+    for x, y in zip(stops, stops[1:]):
+        # one step along the edge (cu, cv) both stops lie on, between their
+        # offsets from cu
+        cu, cv = x.edge or y.edge or (min(x.vertex, y.vertex), max(x.vertex, y.vertex))
+        length = g.edge_length(cu, cv)
+        start, end = (z.offset if z.edge else 0.0 if z.vertex == cu else length for z in (x, y))
+        if remaining <= abs(end - start):
             off = start + remaining if end > start else start - remaining
             if off <= 0.0:
                 return ConvPoint.at_vertex(cu)
-            if off >= g.edge_length(cu, cv):
+            if off >= length:
                 return ConvPoint.at_vertex(cv)
             return ConvPoint.on_edge(cu, cv, off)
-        remaining -= length
+        remaining -= abs(end - start)
     return q
 
 
@@ -480,7 +456,10 @@ def sample_points(g: WeightedGraph, samples_per_edge: int) -> list[ConvPoint]:
 
 
 def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:
-    """Closure distances over :func:`sample_points`, as a finite metric."""
+    """Closure distances over :func:`sample_points`, as a finite metric. A
+    matrix beyond physical memory is refused before any point is built."""
+    n = g.n_vertices + max(samples_per_edge, 0) * g.w.size
+    _refuse_beyond_memory(n, "the closure sample")
     pts = sample_points(g, samples_per_edge)
     out = point_distances(g, pts, pts)
     out = np.minimum(out, out.T)

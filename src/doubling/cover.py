@@ -21,16 +21,35 @@ __all__ = [
 ]
 
 
+def _greedy_picks(D: np.ndarray, points: Sequence[int] | np.ndarray, threshold: float) -> list[int]:
+    """The greedy scan behind nets, covers and packings, on one point set.
+
+    Scans ``points`` in ascending id (repeats count once): each step picks
+    the lowest live id p and keeps live only the points q with
+    ``D[p, q] > threshold``. A threshold below 0 would keep p itself live,
+    so callers refuse one before the scan.
+    """
+    live = np.unique(np.asarray(points, dtype=np.intp))
+    picks: list[int] = []
+    while live.size:
+        p = live[0]
+        picks.append(int(p))
+        live = live[D[p, live] > threshold]
+    return picks
+
+
 def greedy_scan(
     D: np.ndarray, live: np.ndarray, thresholds: np.ndarray, beat: int = 0
 ) -> np.ndarray:
-    """The greedy scan behind covers and packings, run on many rows at once.
+    """The greedy scan of :func:`_greedy_picks` run on many rows at once, for
+    the dimension sweeps.
 
     ``live[k]`` marks the points scan k may still pick. Each step picks the
     lowest live id p of every nonempty row k and keeps live only the points
     q with ``D[p, q] > thresholds[k]``; a row leaves the scan once it is
     empty. Returns the picks as a (rows, steps) id array: row k holds its
-    picks in scan order, then -1 padding.
+    picks in scan order, then -1 padding. A negative or NaN threshold is
+    refused.
 
     With ``beat`` > 0 a row also leaves as soon as its picks so far plus its
     live points cannot exceed ``beat``: rows with more than ``beat`` picks
@@ -38,6 +57,8 @@ def greedy_scan(
     """
     live = np.array(live, dtype=bool)  # a copy: the scan clears it in place
     thresholds = np.asarray(thresholds, dtype=np.float64)
+    if not (thresholds >= 0.0).all():
+        raise ValueError("greedy scan thresholds must be nonnegative")
     rows = np.arange(live.shape[0])
     t = thresholds[:, None]
     steps: list[tuple[np.ndarray, np.ndarray]] = []
@@ -56,20 +77,17 @@ def greedy_scan(
     return picks
 
 
-def _members(n: int, points: np.ndarray) -> np.ndarray:
-    live = np.zeros((1, n), dtype=bool)
-    live[0, points] = True
-    return live
-
-
 def greedy_ball_cover(D: np.ndarray, universe: np.ndarray, r: float) -> list[int]:
     """Cover ``universe`` by balls of radius ``r``: repeatedly center a ball
     on the lowest-id point not yet covered.
 
     Deterministic, and every chosen center lies in the universe, so the
-    result is always a valid (if not minimum) cover.
+    result is always a valid (if not minimum) cover. A negative or NaN
+    radius is refused.
     """
-    return greedy_scan(D, _members(D.shape[0], universe), np.array([r]))[0].tolist()
+    if not r >= 0.0:
+        raise ValueError("cover radius must be nonnegative")
+    return _greedy_picks(D, universe, r)
 
 
 def greedy_packing(D: np.ndarray, ball: np.ndarray, separation: float) -> list[int]:
@@ -78,10 +96,11 @@ def greedy_packing(D: np.ndarray, ball: np.ndarray, separation: float) -> list[i
     Points are scanned in ascending id; a point joins the packing iff it is
     at least ``separation`` away from everything already kept. The scan's
     strict test runs against the largest float below ``separation``, which
-    for floats is exactly ``>= separation``.
+    for floats is exactly ``>= separation``. The separation must be positive.
     """
-    below = np.nextafter(separation, -np.inf)
-    return greedy_scan(D, _members(D.shape[0], ball), np.array([below]))[0].tolist()
+    if not separation > 0.0:
+        raise ValueError("packing separation must be positive")
+    return _greedy_picks(D, ball, np.nextafter(separation, -np.inf))
 
 
 class _Abort(Exception):

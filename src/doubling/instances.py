@@ -10,7 +10,6 @@ re-measured.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from .closure import ConvPoint, conv_geodesic_point, pairwise_window, point_distances
 from .completion import Completion
-from .errors import ConfigError, TooFewLeaves, VertexSetMismatch
-from .metric import REL_TOL, FiniteMetric, WeightedGraph
+from .errors import TooFewLeaves, VertexSetMismatch
+from .metric import REL_TOL, FiniteMetric, WeightedGraph, _refuse_beyond_memory
 from .net_tree import check_eps
 
 __all__ = [
@@ -56,15 +55,8 @@ def lcp_metric(p: int) -> FiniteMetric:
     """
     if p < 1:
         raise ValueError("need strings of positive length")
-    need = 8 * 4**p
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(
-            f"lcp p = {p} needs a 2**{p} x 2**{p} distance matrix ({need} bytes), "
-            f"more than this machine's {have} bytes of memory"
-        )
-    n = 1 << p
-    ids = np.arange(n)
+    _refuse_beyond_memory(1 << p, f"lcp p = {p}")
+    ids = np.arange(1 << p)
     # frexp's exponent of a positive integer below 2**53 is its bit length
     D = np.ldexp(1.0, np.frexp(ids[:, None] ^ ids)[1])
     np.fill_diagonal(D, 0.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -18,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import cover
-from .errors import DisconnectedGraph, SizeMismatch
+from .errors import ConfigError, DisconnectedGraph, SizeMismatch
 
 __all__ = [
     "REL_TOL",
@@ -47,6 +48,18 @@ ROW_BLOCK = 256
 # Entries (rows x points) per block of the batched greedy scan in the
 # dimension sweeps: a 1 MiB live mask plus an 8 MiB block of distance rows.
 SCAN_BLOCK_ELEMENTS = 1 << 20
+
+
+def _refuse_beyond_memory(n: int, what: str) -> None:
+    """Refuse, before anything is built, a dense n x n float64 distance
+    matrix larger than this machine's physical memory."""
+    need = 8 * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"{what} needs a {n} x {n} distance matrix ({need} bytes), "
+            f"more than this machine's {have} bytes of memory"
+        )
 
 
 def _triangle_violation(D: np.ndarray) -> tuple[int, int, str] | None:
@@ -304,18 +317,7 @@ def greedy_net(m: FiniteMetric, r: float, points: Sequence[int] | None = None) -
     """
     if not (r > 0.0):
         raise ValueError("net radius must be positive")
-    ids = np.arange(m.n) if points is None else np.asarray(sorted(points), dtype=np.intp)
-    D = m.dist
-    kept: list[int] = []
-    eligible = np.ones(ids.size, dtype=bool)
-    while True:
-        remaining = np.flatnonzero(eligible)
-        if remaining.size == 0:
-            break
-        p = int(ids[remaining[0]])
-        kept.append(p)
-        eligible &= D[p][ids] > r
-    return kept
+    return cover._greedy_picks(m.dist, np.arange(m.n) if points is None else points, r)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ single-source Dijkstra run: the reference the rank-count audit must match.
 The scalar closure distance is the four-exit formula one pair at a time, the
 reference the blocked ``closure.point_distances`` must reproduce exactly;
 the certificate and witness oracles walk their pairs with it in nested loops.
+The scalar geodesic point collects its candidate routes as lists of
+pieces (exit segment, one piece per walked edge, entry segment) and walks
+the pieces of the lex-min route: the reference for the stop-by-stop walk of
+``closure.conv_geodesic_point``.
 The scalar crossing check walks the half x half grid of prefix strings
 through ``has_edge``, the reference for the one-mask ``lcp_crossing_check``.
 
@@ -52,7 +56,7 @@ from doubling import (
     WeightedGraph,
     shortest_path_metric,
 )
-from doubling.closure import AuditResult, ConvPoint
+from doubling.closure import AuditResult, ConvPoint, _lex_min_path, conv_distance
 from doubling.cover import min_ball_cover
 from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
@@ -293,6 +297,56 @@ def scalar_conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
     if not p.is_vertex and p.edge == q.edge:
         best = min(best, abs(p.offset - q.offset))
     return best
+
+
+def scalar_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) -> ConvPoint:
+    """``conv_geodesic_point`` as route records of (u, v, start, end) pieces,
+    each a move along edge {u, v} between offsets measured from u."""
+    total = conv_distance(g, p, q)
+    if not -REL_TOL * total <= s <= total * (1.0 + REL_TOL):
+        raise ValueError(f"arc length {s!r} outside [0, {total!r}]")
+    if s <= 0.0:
+        return p
+    D = shortest_path_metric(g).dist
+    tol = REL_TOL * total
+
+    candidates: list[tuple[tuple[int, ...], list[tuple[int, int, float, float]]]] = []
+    if not p.is_vertex and p.edge == q.edge and abs(p.offset - q.offset) <= total + tol:
+        u, v = p.edge
+        candidates.append(((), [(u, v, p.offset, q.offset)]))
+    for a, cost_p in _scalar_exits(g, p):
+        for b, cost_q in _scalar_exits(g, q):
+            if abs(cost_p + float(D[a, b]) + cost_q - total) > tol:
+                continue
+            walk = _lex_min_path(g, D, a, b)
+            pieces = []
+            if not p.is_vertex:
+                u, v = p.edge
+                pieces.append((u, v, p.offset, 0.0 if a == u else g.edge_length(u, v)))
+            for w1, w2 in zip(walk, walk[1:]):
+                cu, cv = (w1, w2) if w1 < w2 else (w2, w1)
+                length = g.edge_length(cu, cv)
+                pieces.append((cu, cv, 0.0, length) if w1 == cu else (cu, cv, length, 0.0))
+            if not q.is_vertex:
+                u, v = q.edge
+                pieces.append((u, v, 0.0 if b == u else g.edge_length(u, v), q.offset))
+            candidates.append((walk, pieces))
+    if not candidates:
+        raise AssertionError("no route realizes the computed distance")
+    _, pieces = min(candidates, key=lambda c: c[0])
+
+    remaining = s
+    for cu, cv, start, end in pieces:
+        length = abs(end - start)
+        if remaining <= length:
+            off = start + remaining if end > start else start - remaining
+            if off <= 0.0:
+                return ConvPoint.at_vertex(cu)
+            if off >= g.edge_length(cu, cv):
+                return ConvPoint.at_vertex(cv)
+            return ConvPoint.on_edge(cu, cv, off)
+        remaining -= length
+    return q
 
 
 def scalar_pair_window(g: WeightedGraph, pts) -> tuple[float, float]:

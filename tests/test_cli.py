@@ -21,6 +21,7 @@ from doubling import (
     save_graph,
     save_metric,
 )
+from doubling import closure
 from doubling.cli import RunConfig, main, run
 from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
@@ -221,7 +222,9 @@ class TestMain:
         err = capsys.readouterr().err
         assert path in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("text", [None, "{bad", "[1]"])
+    @pytest.mark.parametrize(
+        "text", [None, "{bad", "[1]", '{"stretch": 5}', '{"config": [1, 2]}']
+    )
     def test_report_on_a_missing_or_malformed_file_is_a_usage_error(self, tmp_path, capsys, text):
         path = str(tmp_path / "run.json")
         if text is not None:
@@ -236,6 +239,16 @@ class TestMain:
         distance is written."""
         monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
         assert main(["certify-lcp", "--p", "40"]) == 2
+        assert "memory" in capsys.readouterr().err
+
+    def test_dim_refuses_a_closure_sample_beyond_memory(self, tmp_path, monkeypatch, capsys):
+        """10^8 samples on one edge ask for a (10^8 + 2)-point sample; the
+        guard refuses before any sample point is built."""
+        src = tmp_path / "two.graph"
+        src.write_text("graph 2\ne 0 1 1.0\n")
+        monkeypatch.setattr(closure, "sample_points", lambda *a: pytest.fail("built points"))
+        argv = ["dim", "--input", str(src), "--samples-per-edge", "100000000"]
+        assert main(argv) == 2
         assert "memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

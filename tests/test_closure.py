@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubling import (
+    REL_TOL,
     EmptyLongEdgeSet,
     InvalidPoint,
     WeightedGraph,
+    build_spanner,
+    complete_tree,
     exponential_star,
+    lcp_metric,
+    random_euclidean,
     random_tree,
     shortest_path_metric,
 )
@@ -23,7 +29,7 @@ from doubling.closure import (
     sample_points,
     sampled_conv_dimension,
 )
-from oracles import brute_audit_max, scalar_conv_distance
+from oracles import brute_audit_max, scalar_conv_distance, scalar_geodesic_point
 
 
 def single_edge(length: float = 4.0) -> WeightedGraph:
@@ -130,6 +136,61 @@ class TestGeodesicPoint:
         mid = conv_geodesic_point(g, p, q, s)
         assert conv_distance(g, p, mid) == pytest.approx(s, abs=1e-9)
         assert conv_distance(g, mid, q) == pytest.approx(total - s, abs=1e-9)
+
+
+# k in [0, 700) picks each graph; completed stars run over 16-40 leaves
+# (k % 25) and eps = 2^-2 ... 2^-29 (k // 25)
+GEODESIC_GRAPHS = {
+    "random-tree": lambda k: random_tree(2 + k % 20, k),
+    "completed-star": lambda k: complete_tree(
+        exponential_star(16 + k % 25), 2.0 ** -(2 + k // 25)
+    ).output,
+    "planar-spanner": lambda k: build_spanner(random_euclidean(3 + k % 28, 2, k), 0.25).graph,
+    "lcp-spanner": lambda k: build_spanner(lcp_metric(2 + k % 3), 2.0 ** -(3 + k % 3)).graph,
+}
+
+
+@functools.lru_cache(maxsize=2)
+def geodesic_graph(family: str, k: int) -> WeightedGraph:
+    return GEODESIC_GRAPHS[family](k)
+
+
+@st.composite
+def closure_pairs(draw, g: WeightedGraph):
+    """(p, q): vertices and interior points, q on p's own edge half the
+    time p is interior."""
+    fractions = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.001, 0.999))
+
+    def on_edge(i: int) -> ConvPoint:
+        return ConvPoint.on_edge(int(g.u[i]), int(g.v[i]), draw(fractions) * float(g.w[i]))
+
+    def point() -> ConvPoint:
+        if draw(st.booleans()):
+            return ConvPoint.at_vertex(draw(st.integers(0, g.n_vertices - 1)))
+        return on_edge(draw(st.integers(0, g.w.size - 1)))
+
+    p = point()
+    if not p.is_vertex and draw(st.booleans()):
+        u, v = p.edge
+        return p, ConvPoint.on_edge(u, v, draw(fractions) * g.edge_length(u, v))
+    return p, point()
+
+
+@pytest.mark.parametrize("family", sorted(GEODESIC_GRAPHS))
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 699), data=st.data())
+def test_geodesic_walk_matches_the_piece_walk(family, k, data):
+    """The stop-by-stop walk lands on the point the route-piece walk of
+    ``oracles.scalar_geodesic_point`` lands on, bit for bit, from s = 0 to
+    just past the total."""
+    g = geodesic_graph(family, k)
+    for _ in range(3):
+        p, q = data.draw(closure_pairs(g))
+        total = conv_distance(g, p, q)
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+        for s in [0.0, *(f * total for f in fractions), total, total * (1.0 + REL_TOL / 2.0)]:
+            got = conv_geodesic_point(g, p, q, s)
+            assert repr(got) == repr(scalar_geodesic_point(g, p, q, s)), (p, q, s)
 
 
 class TestAudit:

@@ -121,8 +121,11 @@ class TestGreedyNet:
         assert greedy_net(lcp_metric(2), 3.0) == [0, 2]
 
     def test_respects_point_subset(self):
+        """The subset is scanned in ascending id, whatever its order and
+        repeats."""
         m = uniform_metric(4)
-        assert greedy_net(m, 0.5, points=[3, 1]) == [1, 3]
+        for points in ([3, 1], [3, 1, 3, 1], np.array([3, 3, 1])):
+            assert greedy_net(m, 0.5, points=points) == [1, 3]
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=2, max_size=12), st.floats(min_value=0.1, max_value=120.0))

@@ -1,9 +1,12 @@
-"""The batched dimension sweeps against their scalar references.
+"""The greedy scans against their scalar references.
 
 ``doubling_estimate`` and ``packing_lower_bound`` size every radius of a
 center with one batched greedy scan; ``oracles`` keeps the one-scan-per-event
 loops. The whole ``DimensionEstimate`` must match, mode and witnesses
-included, in exact and greedy mode and at any scan block size.
+included, in exact and greedy mode and at any scan block size. Nets, covers
+and packings share one single-row scan, which must pick what the scalar
+loops pick over the sorted, repeat-free point set, whatever order and
+repeats it is given.
 """
 
 import numpy as np
@@ -22,7 +25,12 @@ from doubling import (
 )
 from doubling import cover, metric
 from doubling.closure import sample_metric
-from oracles import scalar_doubling_estimate, scalar_packing_lower_bound
+from oracles import (
+    scalar_doubling_estimate,
+    scalar_greedy_cover,
+    scalar_greedy_packing,
+    scalar_packing_lower_bound,
+)
 
 # one row per block, a few rows per block, the module default
 BUDGETS = (1, 40, metric.SCAN_BLOCK_ELEMENTS)
@@ -120,3 +128,53 @@ def test_greedy_scan_rows_are_independent_scans():
     for k in (0, 2):
         got = cut[k][cut[k] >= 0].tolist()
         assert len(got) <= 3 and got == alone[k][: len(got)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 30), data=st.data())
+def test_single_row_scans_match_scalar_in_any_order(family, seed, n, data):
+    m = FAMILIES[family](seed, n)
+    D = m.dist
+    points = data.draw(st.lists(st.integers(0, m.n - 1), max_size=2 * m.n))
+    ascending = np.unique(np.asarray(points, dtype=np.intp))
+    r = data.draw(st.sampled_from(np.unique(D).tolist())) * data.draw(st.sampled_from([0.5, 1.0]))
+    universe = np.asarray(points, dtype=np.intp)
+    assert cover.greedy_ball_cover(D, universe, r) == scalar_greedy_cover(D, ascending, r)
+    if r > 0.0:
+        assert cover.greedy_packing(D, universe, r) == scalar_greedy_packing(D, ascending, r)
+        listed = np.asarray(sorted(points), dtype=np.intp)
+        assert metric.greedy_net(m, r, points) == scalar_greedy_cover(D, listed, r)
+        assert metric.greedy_net(m, r) == scalar_greedy_cover(D, np.arange(m.n), r)
+
+
+TINY = random_euclidean(3, 2, 1).dist
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cover.greedy_packing(TINY, np.arange(3), 0.0),
+        lambda: cover.greedy_packing(TINY, np.arange(3), -1.0),
+        lambda: cover.greedy_packing(TINY, np.arange(3), float("nan")),
+        lambda: cover.greedy_ball_cover(TINY, np.arange(3), -1.0),
+        lambda: cover.greedy_ball_cover(TINY, np.arange(3), float("nan")),
+        lambda: cover.greedy_scan(TINY, np.ones((2, 3), dtype=bool), np.array([0.5, -1.0])),
+        lambda: cover.greedy_scan(TINY, np.ones((1, 3), dtype=bool), np.array([float("nan")])),
+        lambda: metric.greedy_net(FiniteMetric(TINY), 0.0),
+    ],
+    ids=[
+        "packing-zero",
+        "packing-negative",
+        "packing-nan",
+        "cover-negative",
+        "cover-nan",
+        "scan-negative",
+        "scan-nan",
+        "net-zero",
+    ],
+)
+def test_a_threshold_that_keeps_its_own_pick_live_is_refused(call):
+    """Below 0 a pick stays live and the scan would never end."""
+    with pytest.raises(ValueError):
+        call()
