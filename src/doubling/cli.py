@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import closure, completion, instances, metric, spanner
-from .errors import ConfigError, DoublingError
+from .errors import ConfigError, DoublingError, TooFewLeaves
 from .report import RunReport, emit_plot_data
 
 __all__ = ["RunConfig", "run", "main"]
@@ -119,21 +119,19 @@ def _stretch_section(rep: metric.StretchReport) -> dict[str, object]:
     return {"min": rep.min_ratio, "max": rep.max_ratio, "pass": rep.passed}
 
 
-def _input_dims(m: metric.FiniteMetric, config: RunConfig) -> dict[str, object]:
+def _dims(
+    m: metric.FiniteMetric, g: metric.WeightedGraph | None, config: RunConfig
+) -> dict[str, object]:
+    """Dimension bounds of the input metric and, given a graph, of its closure's
+    sample, which runs first: its memory preflight refuses before the input sweep."""
+    conv: dict[str, object] = {}
+    if g is not None:
+        est = closure.sampled_conv_dimension(g, config.samples_per_edge, config.exact_max_n)
+        conv = {"conv_sampled_upper": est.dim_upper, "conv_sampled_lower": est.dim_lower}
     est = metric.doubling_estimate(m, exact_max_n=config.exact_max_n)
     est = est.merged_with_lower(metric.packing_lower_bound(m))
-    return {
-        "input_upper": est.dim_upper,
-        "input_lower": est.dim_lower,
-        "input_mode": est.mode,
-    }
-
-
-def _conv_dims(g: metric.WeightedGraph, config: RunConfig) -> dict[str, object]:
-    est = closure.sampled_conv_dimension(
-        g, config.samples_per_edge, exact_max_n=config.exact_max_n
-    )
-    return {"conv_sampled_upper": est.dim_upper, "conv_sampled_lower": est.dim_lower}
+    dims = {"input_upper": est.dim_upper, "input_lower": est.dim_lower, "input_mode": est.mode}
+    return {**dims, **conv}
 
 
 def run(config: RunConfig) -> tuple[RunReport, bool]:
@@ -160,9 +158,7 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
             },
         )
         report.add("long_edges", _audit_section(closure.long_edge_audit(s.graph)))
-        dims = _input_dims(m, config)
-        dims.update(_conv_dims(s.graph, config))
-        report.add("dim", dims)
+        report.add("dim", _dims(m, s.graph, config))
         passed = s.stretch.passed
         if config.output:
             spanner.save_spanner(s, config.output + ".spanner")
@@ -173,22 +169,15 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
             raise ConfigError("complete-tree needs a graph input")
         eps = _need_epsilon(config)
         c = completion.complete_tree(g, eps)
-        rep = completion.verify_completion(
-            g, c, eps,
-            samples_per_edge=config.samples_per_edge,
-            exact_max_n=config.exact_max_n,
-        )
+        rep = completion.verify_completion(g, c, eps)
         report.add("scale", {"scale": c.scale})
         report.add("stretch", _stretch_section(rep.stretch))
         report.add(
             "tree",
             {"input_is_tree": c.input_is_tree, "output_is_tree": rep.tree_ok},
         )
-        report.add("long_edges", _audit_section(rep.audit))
-        dims = _input_dims(metric.shortest_path_metric(g), config)
-        dims["conv_sampled_upper"] = rep.conv_dim.dim_upper
-        dims["conv_sampled_lower"] = rep.conv_dim.dim_lower
-        report.add("dim", dims)
+        report.add("long_edges", _audit_section(closure.long_edge_audit(c.output)))
+        report.add("dim", _dims(metric.shortest_path_metric(g), c.output, config))
         passed = rep.passed
         if config.output:
             completion.save_completion(c, config.output + ".completion")
@@ -201,10 +190,8 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
 
     elif config.pipeline == "dim":
         obj = _resolve(config)
-        dims = _input_dims(_as_metric(obj), config)
-        if isinstance(obj, metric.WeightedGraph):
-            dims.update(_conv_dims(obj, config))
-        report.add("dim", dims)
+        g = obj if isinstance(obj, metric.WeightedGraph) else None
+        report.add("dim", _dims(_as_metric(obj), g, config))
 
     elif config.pipeline == "certify-star":
         if config.instance is None or config.instance.family != "exponential-star":
@@ -213,7 +200,10 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
         g = _build(config.instance)
         assert isinstance(g, metric.WeightedGraph)
         c = completion.complete_tree(g, eps)
-        cert = instances.star_lb_certificate(c, eps)
+        try:
+            cert = instances.star_lb_certificate(c, eps)
+        except TooFewLeaves as exc:
+            raise ConfigError(str(exc)) from exc
         report.add("scale", {"scale": c.scale})
         report.add("certificate", _packing_section(cert))
         passed = cert.ok

@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import AuditResult, long_edge_audit, sampled_conv_dimension
 from .errors import LevelUnderflow
 from .metric import (
-    DimensionEstimate,
     FiniteMetric,
     StretchReport,
     WeightedGraph,
     _data_lines,
     _parse_graph_lines,
     _write_graph,
+    distance_rows,
     shortest_path_metric,
     verify_stretch,
 )
@@ -142,40 +141,27 @@ def complete_tree(g: WeightedGraph, eps: float) -> Completion:
 class CompletionReport:
     stretch: StretchReport
     tree_ok: bool | None
-    audit: AuditResult
-    conv_dim: DimensionEstimate
 
     @property
     def passed(self) -> bool:
         return self.stretch.passed and self.tree_ok is not False
 
 
-def verify_completion(
-    g: WeightedGraph,
-    c: Completion,
-    eps: float,
-    *,
-    samples_per_edge: int = 1,
-    exact_max_n: int = 64,
-) -> CompletionReport:
-    """Stretch on original pairs, tree shape, long-edge audit, sampled dimension.
+def verify_completion(g: WeightedGraph, c: Completion, eps: float) -> CompletionReport:
+    """Stretch on original pairs and tree shape.
 
     Stretch allows contraction: completed distances may shrink by up to
-    1/(1+eps) as well as grow by (1+eps). Tree shape is only checked when
-    the input was a tree (None otherwise).
+    1/(1+eps) as well as grow by (1+eps). They come from the Dijkstra rows
+    of the ``n_original`` input vertices, symmetrised among themselves,
+    which reproduces the all-pairs matrix on those pairs exactly. Tree
+    shape is only checked when the input was a tree (None otherwise).
     """
     base = shortest_path_metric(g)
-    full = shortest_path_metric(c.output)
-    test = full.restrict(range(c.n_original))
+    rows = distance_rows(c.output, np.arange(c.n_original))[:, : c.n_original]
+    test = FiniteMetric(np.minimum(rows, rows.T), validate=False)
     stretch = verify_stretch(base, test, eps, allow_contraction=True)
-    tree_ok: bool | None = None
-    if c.input_is_tree:
-        tree_ok = c.output.is_tree()
-    audit = long_edge_audit(c.output)
-    conv_dim = sampled_conv_dimension(
-        c.output, samples_per_edge, exact_max_n=exact_max_n
-    )
-    return CompletionReport(stretch, tree_ok, audit, conv_dim)
+    tree_ok = c.output.is_tree() if c.input_is_tree else None
+    return CompletionReport(stretch, tree_ok)
 
 
 def save_completion(c: Completion, path: str) -> None:
@@ -191,14 +177,17 @@ def save_completion(c: Completion, path: str) -> None:
 
 
 def load_completion(path: str) -> Completion:
-    """Read a file written by :func:`save_completion`; every ``ValueError``
-    reads ``path:line: reason``."""
+    """Read a file written by :func:`save_completion`; every ``ValueError``,
+    also one for a record :func:`complete_tree` never writes, reads ``path:line: reason``."""
     with open(path, "r", encoding="utf-8") as fh:
         graph, extras, last = _parse_graph_lines(
             path, _data_lines(fh), extra_kinds=("scale", "meta", "tail", "lift")
         )
+    n = graph.n_vertices
     at = last
-    rows: dict[str, list[list]] = {}
+    rows: dict[str, list[tuple[int, list]]] = {}
+    tail_index: dict[tuple[int, int], int] = {}
+    lifted: dict[tuple[int, int], tuple[int, int, int]] = {}
     try:
         for kind in ("scale", "meta"):
             if len(extras[kind]) != 1:
@@ -209,11 +198,26 @@ def load_completion(path: str) -> Completion:
             for at, parts in extras[kind]:
                 if len(parts) != arity:
                     raise ValueError(f"bad {kind} record {' '.join(parts)!r}")
-                rows[kind].append([float(x) if kind == "scale" else int(x) for x in parts])
+                rows[kind].append((at, [float(x) if kind == "scale" else int(x) for x in parts]))
+        ((at, (scale,)),) = rows["scale"]
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"scale {scale!r} is not positive and finite")
+        ((at, (n_original, tree_flag)),) = rows["meta"]
+        if n_original not in range(1, n + 1) or tree_flag not in (0, 1):
+            raise ValueError(f"meta {n_original} {tree_flag} wants 1..{n} inputs, tree flag 0 or 1")
+        inputs, vertices = range(n_original), range(n)
+        for at, (u, j, new) in rows["tail"]:
+            if u not in inputs or new not in vertices:
+                raise ValueError(f"tail ({u},{j}) names an id outside the inputs or the graph")
+            if (u, j) in tail_index:
+                raise ValueError(f"a second tail record for ({u},{j})")
+            tail_index[(u, j)] = new
+        for at, (u, v, level, a, b) in rows["lift"]:
+            if not (u in inputs and v in inputs and a in vertices and b in vertices):
+                raise ValueError(f"lift ({u},{v}) names an id outside the inputs or the graph")
+            if (u, v) in lifted:
+                raise ValueError(f"a second lift record for ({u},{v})")
+            lifted[(u, v)] = (a, b, level)
     except ValueError as exc:
         raise ValueError(f"{path}:{at}: {exc}") from None
-    ((scale,),) = rows["scale"]
-    ((n_original, tree_flag),) = rows["meta"]
-    tail_index = {(u, j): new for u, j, new in rows["tail"]}
-    lifted = {(u, v): (a, b, level) for u, v, level, a, b in rows["lift"]}
     return Completion(graph, tail_index, lifted, scale, n_original, bool(tree_flag))

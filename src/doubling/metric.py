@@ -52,13 +52,14 @@ SCAN_BLOCK_ELEMENTS = 1 << 20
 
 def _refuse_beyond_memory(n: int, what: str) -> None:
     """Refuse, before anything is built, a dense n x n float64 distance
-    matrix larger than this machine's physical memory."""
-    need = 8 * n * n
+    matrix whose construction peaks beyond physical memory: its builders
+    hold up to about 3.3 such arrays at once, so four are counted."""
+    need = 4 * 8 * n * n
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
-            f"{what} needs a {n} x {n} distance matrix ({need} bytes), "
-            f"more than this machine's {have} bytes of memory"
+            f"{what} needs a {n} x {n} distance matrix ({need} bytes with its "
+            f"temporaries), more than this machine's {have} bytes of memory"
         )
 
 

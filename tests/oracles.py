@@ -36,6 +36,10 @@ records per pair. The array-based builders must reproduce them exactly.
 The scalar path greedy is the pruning stage as a plain loop over every pair,
 the whole shortest-path matrix lowered after each kept edge: the reference
 whose kept edges the blocked, lazily updated ``prune_edges`` must match.
+
+The dense completion stretch restricts the completed graph's all-pairs
+matrix to the input vertices: the reference for ``verify_completion``,
+which reads only the input vertices' Dijkstra rows.
 """
 
 from __future__ import annotations
@@ -52,11 +56,14 @@ from doubling import (
     REL_TOL,
     DimensionEstimate,
     FiniteMetric,
+    StretchReport,
     VerificationError,
     WeightedGraph,
     shortest_path_metric,
+    verify_stretch,
 )
 from doubling.closure import AuditResult, ConvPoint, _lex_min_path, conv_distance
+from doubling.completion import Completion
 from doubling.cover import min_ball_cover
 from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
@@ -627,3 +634,10 @@ def scalar_path_greedy(raw: Spanner, m: FiniteMetric) -> list[tuple[int, int]]:
                 add(min(u, v), max(u, v))
             v = u
     return sorted(kept)
+
+
+def dense_completion_stretch(g: WeightedGraph, c: Completion, eps: float) -> StretchReport:
+    """Stretch of a completion over the input vertices, read from the
+    completed graph's full all-pairs matrix."""
+    test = shortest_path_metric(c.output).restrict(range(c.n_original))
+    return verify_stretch(shortest_path_metric(g), test, eps, allow_contraction=True)

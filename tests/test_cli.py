@@ -21,7 +21,7 @@ from doubling import (
     save_graph,
     save_metric,
 )
-from doubling import closure
+from doubling import closure, metric
 from doubling.cli import RunConfig, main, run
 from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
@@ -251,12 +251,29 @@ class TestMain:
         assert main(argv) == 2
         assert "memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spanner", "complete-tree"])
+    def test_closure_sample_beyond_memory_is_refused_before_the_input_sweep(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """Every pipeline that measures a closure runs the sample's preflight
+        before the input metric's dimension sweep."""
+        src = tmp_path / "two.graph"
+        src.write_text("graph 2\ne 0 1 1.0\n")
+        monkeypatch.setattr(metric, "doubling_estimate", lambda *a, **k: pytest.fail("swept"))
+        argv = [command, "--input", str(src), "--epsilon", "0.25", "--samples-per-edge", "100000000"]
+        assert main(argv) == 2
+        assert "memory" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv,reason",
         [
             (["certify-star", "--n", "0", "--epsilon", "0.25"], "need at least one leaf"),
             (["certify-lcp", "--p", "0"], "need strings of positive length"),
             (["certify-lcp", "--p", "-3"], "need strings of positive length"),
+            (
+                ["certify-star", "--n", "3", "--epsilon", "0.0009765625"],
+                "certificate needs 9 leaves, the star has 3",
+            ),
         ],
     )
     def test_certify_size_the_generator_refuses_is_a_usage_error(self, capsys, argv, reason):

@@ -2,6 +2,8 @@ import dataclasses
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubling import (
     LevelUnderflow,
@@ -13,11 +15,14 @@ from doubling import (
     lift_edges,
     load_completion,
     long_edge_audit,
+    random_tree,
+    sampled_conv_dimension,
     save_completion,
     shortest_path_metric,
     verify_completion,
 )
 from doubling.net_tree import build_net_tree, istar
+from oracles import dense_completion_stretch
 
 
 def path3() -> WeightedGraph:
@@ -132,6 +137,29 @@ class TestVerifyCompletion:
         assert rep.stretch.violation is not None
         assert not rep.passed
 
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_stretch_matches_the_dense_matrix(self, data):
+        """Rows from the input vertices give the report the completed graph's
+        full all-pairs matrix gives, on honest and on tampered completions."""
+        family = data.draw(st.sampled_from(["tree", "star", "triangle"]))
+        if family == "tree":
+            g = random_tree(data.draw(st.integers(2, 30)), data.draw(st.integers(0, 999)))
+            eps = 2.0 ** -data.draw(st.integers(2, 4))
+        elif family == "star":
+            g = exponential_star(data.draw(st.integers(1, 6)))
+            eps = 2.0 ** -data.draw(st.integers(2, 10))
+        else:
+            g, eps = collinear_triangle(), 0.25
+        c = complete_tree(g, eps)
+        if data.draw(st.booleans()):
+            a, b, _ = c.lifted[data.draw(st.sampled_from(sorted(c.lifted)))]
+            factor = data.draw(st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+            key = (min(a, b), max(a, b))
+            edges = [(u, v, w * factor if (u, v) == key else w) for u, v, w in c.output.edges]
+            c = dataclasses.replace(c, output=WeightedGraph(c.output.n_vertices, edges))
+        assert verify_completion(g, c, eps).stretch == dense_completion_stretch(g, c, eps)
+
     def test_audit_grows_slowly_as_eps_shrinks(self):
         g = exponential_star(16)
         counts = {
@@ -143,8 +171,8 @@ class TestVerifyCompletion:
     def test_completed_dimension_stays_near_the_input(self):
         g = exponential_star(8)
         base = doubling_estimate(shortest_path_metric(g)).dim_upper
-        rep = verify_completion(g, complete_tree(g, 0.25), 0.25)
-        assert rep.conv_dim.dim_upper <= base + 2.0 + 1e-9
+        conv = sampled_conv_dimension(complete_tree(g, 0.25).output, 1)
+        assert conv.dim_upper <= base + 2.0 + 1e-9
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):
@@ -181,6 +209,18 @@ class TestSerialization:
             ("meta 2 1\ntail 0 0 0\n", 4, "exactly one scale record"),
             ("scale two\nmeta 2 1\n", 3, "could not convert"),
             ("scale 2.0\nmeta 2\n", 4, "bad meta record"),
+            ("scale -1.0\nmeta 2 1\n", 3, "scale -1.0 is not positive and finite"),
+            ("scale nan\nmeta 2 1\n", 3, "scale nan is not positive and finite"),
+            ("meta 2 1\nscale inf\n", 4, "scale inf is not positive and finite"),
+            ("scale 2.0\nmeta 999 1\n", 4, "wants 1..2 inputs"),
+            ("scale 2.0\nmeta 0 1\n", 4, "wants 1..2 inputs"),
+            ("scale 2.0\nmeta 2 7\n", 4, "tree flag 0 or 1"),
+            ("scale 2.0\nmeta 2 1\ntail 0 99 12345\n", 5, "names an id outside"),
+            ("scale 2.0\nmeta 1 1\ntail 0 0 0\ntail 1 0 1\n", 6, "names an id outside"),
+            ("scale 2.0\nmeta 2 1\nlift 0 9 1 0 1\n", 5, "names an id outside"),
+            ("scale 2.0\nmeta 2 1\nlift 0 1 1 0 2\n", 5, "names an id outside"),
+            ("scale 2.0\nmeta 2 1\ntail 0 0 0\ntail 0 0 1\n", 6, "a second tail record"),
+            ("scale 2.0\nmeta 2 1\nlift 0 1 1 0 1\nlift 0 1 2 1 0\n", 6, "a second lift"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, records, line, reason):

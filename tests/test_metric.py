@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,20 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubling import (
+    ConfigError,
     DisconnectedGraph,
     FiniteMetric,
     SizeMismatch,
     WeightedGraph,
     doubling_estimate,
     greedy_net,
+    lcp_metric,
     load_graph,
     load_metric,
     packing_lower_bound,
+    random_tree,
     save_graph,
     save_metric,
     shortest_path_metric,
     verify_stretch,
 )
+from doubling.closure import sample_metric
 from oracles import exhaustive_doubling_constant
 
 
@@ -116,8 +122,6 @@ class TestGreedyNet:
         assert greedy_net(m, 1.5) == [0]
 
     def test_lcp_example(self):
-        from doubling import lcp_metric
-
         assert greedy_net(lcp_metric(2), 3.0) == [0, 2]
 
     def test_respects_point_subset(self):
@@ -153,8 +157,6 @@ class TestDoublingEstimate:
         assert est.mode == "exact-cover"
 
     def test_lcp_two(self):
-        from doubling import lcp_metric
-
         est = doubling_estimate(lcp_metric(2))
         assert est.lambda_upper == 2
         assert est.dim_upper == 1.0
@@ -296,3 +298,24 @@ class TestFileFormats:
         worse.write_text("graph 1\n")
         with pytest.raises(ValueError):
             load_metric(str(worse))
+
+
+class TestMemoryPreflight:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: lcp_metric(10), lambda tree=random_tree(300, 1): sample_metric(tree, 2)],
+        ids=["lcp_metric(10)", "898-point closure sample"],
+    )
+    def test_counted_bytes_bound_the_measured_peak(self, monkeypatch, build):
+        """With one byte less memory than the build's measured peak, the
+        preflight refuses it: the bytes it counts are at least that peak."""
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes = {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        with pytest.raises(ConfigError, match="memory"):
+            build()
