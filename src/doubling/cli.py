@@ -123,7 +123,8 @@ def _dims(
     m: metric.FiniteMetric, g: metric.WeightedGraph | None, config: RunConfig
 ) -> dict[str, object]:
     """Dimension bounds of the input metric and, given a graph, of its closure's
-    sample, which runs first: its memory preflight refuses before the input sweep."""
+    sample, which runs first: its memory preflight refuses before the input sweep.
+    Pipelines call it once the graph is built, before its audit and verifier."""
     conv: dict[str, object] = {}
     if g is not None:
         est = closure.sampled_conv_dimension(g, config.samples_per_edge, config.exact_max_n)
@@ -146,6 +147,7 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
         eps = _need_epsilon(config)
         s = spanner.build_spanner(m, eps)
         assert s.net_tree is not None and s.stretch is not None
+        dims = _dims(m, s.graph, config)
         report.add("scale", {"scale": s.net_tree.scale})
         report.add("stretch", _stretch_section(s.stretch))
         report.add(
@@ -158,7 +160,7 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
             },
         )
         report.add("long_edges", _audit_section(closure.long_edge_audit(s.graph)))
-        report.add("dim", _dims(m, s.graph, config))
+        report.add("dim", dims)
         passed = s.stretch.passed
         if config.output:
             spanner.save_spanner(s, config.output + ".spanner")
@@ -169,6 +171,7 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
             raise ConfigError("complete-tree needs a graph input")
         eps = _need_epsilon(config)
         c = completion.complete_tree(g, eps)
+        dims = _dims(metric.shortest_path_metric(g), c.output, config)
         rep = completion.verify_completion(g, c, eps)
         report.add("scale", {"scale": c.scale})
         report.add("stretch", _stretch_section(rep.stretch))
@@ -177,7 +180,7 @@ def run(config: RunConfig) -> tuple[RunReport, bool]:
             {"input_is_tree": c.input_is_tree, "output_is_tree": rep.tree_ok},
         )
         report.add("long_edges", _audit_section(closure.long_edge_audit(c.output)))
-        report.add("dim", _dims(metric.shortest_path_metric(g), c.output, config))
+        report.add("dim", dims)
         passed = rep.passed
         if config.output:
             completion.save_completion(c, config.output + ".completion")

@@ -211,12 +211,16 @@ def load_completion(path: str) -> Completion:
                 raise ValueError(f"tail ({u},{j}) names an id outside the inputs or the graph")
             if (u, j) in tail_index:
                 raise ValueError(f"a second tail record for ({u},{j})")
+            if j < 0 or (j == 0 and new != u) or (j > 0 and new in inputs):
+                raise ValueError(f"tail ({u},{j}) -> {new}: position 0 is u, others new vertices")
             tail_index[(u, j)] = new
         for at, (u, v, level, a, b) in rows["lift"]:
             if not (u in inputs and v in inputs and a in vertices and b in vertices):
                 raise ValueError(f"lift ({u},{v}) names an id outside the inputs or the graph")
             if (u, v) in lifted:
                 raise ValueError(f"a second lift record for ({u},{v})")
+            if level < 1 or u >= v:
+                raise ValueError(f"lift ({u},{v}) at level {level}: wants u < v and a level >= 1")
             lifted[(u, v)] = (a, b, level)
     except ValueError as exc:
         raise ValueError(f"{path}:{at}: {exc}") from None

@@ -17,7 +17,6 @@ __all__ = [
     "greedy_ball_cover",
     "greedy_packing",
     "min_ball_cover",
-    "min_cover_bitmask",
 ]
 
 
@@ -107,77 +106,6 @@ class _Abort(Exception):
     pass
 
 
-def min_cover_bitmask(
-    sets: Sequence[int],
-    full: int,
-    ub_choice: Sequence[int],
-    prune_at: int = 0,
-) -> tuple[int, list[int], bool]:
-    """Exact minimum set cover over bitmask sets via branch and bound.
-
-    ``sets[k]`` is a bitmask of covered universe positions, ``full`` the mask
-    of the whole universe, and ``ub_choice`` indices of a known valid cover
-    (the starting upper bound). Branches on the uncovered element with the
-    fewest candidate sets; at each node candidates are tried in decreasing
-    order of fresh coverage.
-
-    If a cover of size <= ``prune_at`` turns up, the search stops early and
-    the last flag in the result is True (the exact minimum is then only known
-    to be <= ``prune_at``). Otherwise the returned size is the true minimum.
-    """
-    n_bits = full.bit_count()
-    covered_by: list[list[int]] = [[] for _ in range(n_bits)]
-    for k, s in enumerate(sets):
-        rem = s
-        while rem:
-            b = (rem & -rem).bit_length() - 1
-            covered_by[b].append(k)
-            rem &= rem - 1
-    if any(not c for c in covered_by):
-        raise ValueError("universe element not covered by any candidate set")
-
-    max_set_bits = max(s.bit_count() for s in sets)
-    best_size = len(ub_choice)
-    best_choice = list(ub_choice)
-
-    def search(covered: int, chosen: list[int]) -> None:
-        nonlocal best_size, best_choice
-        if covered == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_choice = list(chosen)
-                if best_size <= prune_at:
-                    raise _Abort
-            return
-        uncovered = full & ~covered
-        bound = len(chosen) + math.ceil(uncovered.bit_count() / max_set_bits)
-        if bound >= best_size:
-            return
-        # branch on the uncovered element with the fewest candidate sets;
-        # every set holding an uncovered element still covers something new
-        pick_cands: list[int] | None = None
-        rem = uncovered
-        while rem:
-            b = (rem & -rem).bit_length() - 1
-            if pick_cands is None or len(covered_by[b]) < len(pick_cands):
-                pick_cands = covered_by[b]
-                if len(pick_cands) == 1:
-                    break
-            rem &= rem - 1
-        assert pick_cands is not None
-        for k in sorted(pick_cands, key=lambda k: (-(sets[k] & uncovered).bit_count(), k)):
-            chosen.append(k)
-            search(covered | sets[k], chosen)
-            chosen.pop()
-
-    aborted = False
-    try:
-        search(0, [])
-    except _Abort:
-        aborted = True
-    return best_size, best_choice, aborted
-
-
 def min_ball_cover(
     D: np.ndarray,
     universe: np.ndarray,
@@ -185,14 +113,18 @@ def min_ball_cover(
     ub_centers: Sequence[int],
     prune_at: int = 0,
 ) -> tuple[int, list[int], bool]:
-    """Exact minimum number of radius-``r`` balls covering ``universe``.
+    """Exact minimum number of radius-``r`` balls covering ``universe``, by
+    branch and bound over ball bitmasks.
 
     Ball centers range over all points of the metric, not just the universe.
-    Duplicate and dominated candidate balls are discarded before the search,
-    keeping the lowest center id of each surviving mask as its witness.
-    ``ub_centers`` and ``prune_at`` are passed through to the bitmask solver.
-    All balls are packed into bitmasks in one pass, and the containment test
-    runs on all pairs of distinct masks at once.
+    Duplicate and dominated balls are dropped first, keeping the lowest center
+    id of each surviving mask as its witness. ``ub_centers`` is a known cover,
+    the starting upper bound. The search branches on the uncovered point with
+    the fewest candidate balls and tries them by decreasing fresh coverage.
+
+    If a cover of size <= ``prune_at`` turns up, the search stops early and
+    the last flag in the result is True (the exact minimum is then only known
+    to be <= ``prune_at``). Otherwise the returned size is the true minimum.
     """
     full = (1 << universe.size) - 1
     ball = D[:, universe] <= r
@@ -212,24 +144,61 @@ def min_ball_cover(
     members = ball[[mask_owner[s] for s in masks]].astype(np.float64)
     inside = members @ (1.0 - members).T == 0.0
     np.fill_diagonal(inside, False)
-    sets = [s for s, dominated in zip(masks, inside.any(axis=1).tolist()) if not dominated]
+    kept = ~inside.any(axis=1)
+    sets = [s for s, keep in zip(masks, kept.tolist()) if keep]
     owners = [mask_owner[s] for s in sets]
 
-    ub_idx: list[int] = []
+    best: list[int] = []  # the best cover so far, first the greedy one
     covered = 0
     for c in ub_centers:
         mask = mask_of[c]
         # map the greedy center onto a surviving candidate containing its ball
         for k, s in enumerate(sets):
             if mask & s == mask:
-                if k not in ub_idx:
-                    ub_idx.append(k)
+                if k not in best:
+                    best.append(k)
                     covered |= s
                 break
     if covered != full:  # pragma: no cover - greedy covers by construction
         raise ValueError("upper-bound cover does not cover the universe")
-    if len(ub_idx) <= prune_at:
-        return len(ub_idx), sorted(owners[k] for k in ub_idx), True
+    if len(best) <= prune_at:
+        return len(best), sorted(owners[k] for k in best), True
 
-    size, choice, aborted = min_cover_bitmask(sets, full, ub_idx, prune_at)
-    return size, sorted(owners[k] for k in choice), aborted
+    # each point's candidate balls, ascending; never empty, as r >= 0 puts it in its own ball
+    point, at = np.nonzero(members[kept].T)
+    at, ends = at.tolist(), np.cumsum(np.bincount(point)).tolist()
+    covered_by = [at[a:b] for a, b in zip([0, *ends], ends)]
+    max_set_bits = max(s.bit_count() for s in sets)
+
+    def search(covered: int, chosen: list[int]) -> None:
+        nonlocal best
+        if covered == full:
+            if len(chosen) < len(best):
+                best = list(chosen)
+                if len(chosen) <= prune_at:
+                    raise _Abort
+            return
+        uncovered = full & ~covered
+        bound = len(chosen) + math.ceil(uncovered.bit_count() / max_set_bits)
+        if bound >= len(best):
+            return
+        # branch on the first uncovered point with the fewest candidate balls;
+        # every ball holding an uncovered point still covers something new
+        rem = uncovered
+        cands = covered_by[(rem & -rem).bit_length() - 1]
+        while len(cands) > 1 and rem:
+            b = (rem & -rem).bit_length() - 1
+            if len(covered_by[b]) < len(cands):
+                cands = covered_by[b]
+            rem &= rem - 1
+        for k in sorted(cands, key=lambda k: (-(sets[k] & uncovered).bit_count(), k)):
+            chosen.append(k)
+            search(covered | sets[k], chosen)
+            chosen.pop()
+
+    aborted = False
+    try:
+        search(0, [])
+    except _Abort:
+        aborted = True
+    return len(best), sorted(owners[k] for k in best), aborted

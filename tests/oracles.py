@@ -7,7 +7,10 @@ correct on the small fixtures they run against.
 
 The scalar estimators are the dimension sweeps as one greedy scan per
 (center, radius) event, the reference the batched sweeps must reproduce
-bit for bit, witnesses included. The scalar audit is the long-edge census
+bit for bit, witnesses included; their exact mode runs the ball-cover
+search as two layers (ball masks, then a bitmask solver that rebuilds each
+point's candidates bit by bit), the reference the one-function
+``min_ball_cover`` must reproduce. The scalar audit is the long-edge census
 as one pair of sorts over every edge per vertex, evaluated at every
 breakpoint and midpoint, with each vertex's distances from its own
 single-source Dijkstra run: the reference the rank-count audit must match.
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -64,7 +67,6 @@ from doubling import (
 )
 from doubling.closure import AuditResult, ConvPoint, _lex_min_path, conv_distance
 from doubling.completion import Completion
-from doubling.cover import min_ball_cover
 from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
 from doubling.net_tree import tau_for
@@ -230,6 +232,138 @@ def scalar_greedy_packing(D: np.ndarray, ball: np.ndarray, separation: float) ->
         eligible &= D[p][ball] >= separation
 
 
+class _Abort(Exception):
+    pass
+
+
+def scalar_min_cover_bitmask(
+    sets: Sequence[int],
+    full: int,
+    ub_choice: Sequence[int],
+    prune_at: int = 0,
+) -> tuple[int, list[int], bool]:
+    """Exact minimum set cover over bitmask sets via branch and bound.
+
+    ``sets[k]`` is a bitmask of covered universe positions, ``full`` the mask
+    of the whole universe, and ``ub_choice`` indices of a known valid cover
+    (the starting upper bound). Branches on the uncovered element with the
+    fewest candidate sets; at each node candidates are tried in decreasing
+    order of fresh coverage.
+
+    If a cover of size <= ``prune_at`` turns up, the search stops early and
+    the last flag in the result is True (the exact minimum is then only known
+    to be <= ``prune_at``). Otherwise the returned size is the true minimum.
+    """
+    n_bits = full.bit_count()
+    covered_by: list[list[int]] = [[] for _ in range(n_bits)]
+    for k, s in enumerate(sets):
+        rem = s
+        while rem:
+            b = (rem & -rem).bit_length() - 1
+            covered_by[b].append(k)
+            rem &= rem - 1
+    if any(not c for c in covered_by):
+        raise ValueError("universe element not covered by any candidate set")
+
+    max_set_bits = max(s.bit_count() for s in sets)
+    best_size = len(ub_choice)
+    best_choice = list(ub_choice)
+
+    def search(covered: int, chosen: list[int]) -> None:
+        nonlocal best_size, best_choice
+        if covered == full:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_choice = list(chosen)
+                if best_size <= prune_at:
+                    raise _Abort
+            return
+        uncovered = full & ~covered
+        bound = len(chosen) + math.ceil(uncovered.bit_count() / max_set_bits)
+        if bound >= best_size:
+            return
+        # branch on the uncovered element with the fewest candidate sets;
+        # every set holding an uncovered element still covers something new
+        pick_cands: list[int] | None = None
+        rem = uncovered
+        while rem:
+            b = (rem & -rem).bit_length() - 1
+            if pick_cands is None or len(covered_by[b]) < len(pick_cands):
+                pick_cands = covered_by[b]
+                if len(pick_cands) == 1:
+                    break
+            rem &= rem - 1
+        assert pick_cands is not None
+        for k in sorted(pick_cands, key=lambda k: (-(sets[k] & uncovered).bit_count(), k)):
+            chosen.append(k)
+            search(covered | sets[k], chosen)
+            chosen.pop()
+
+    aborted = False
+    try:
+        search(0, [])
+    except _Abort:
+        aborted = True
+    return best_size, best_choice, aborted
+
+
+def scalar_min_ball_cover(
+    D: np.ndarray,
+    universe: np.ndarray,
+    r: float,
+    ub_centers: Sequence[int],
+    prune_at: int = 0,
+) -> tuple[int, list[int], bool]:
+    """Exact minimum number of radius-``r`` balls covering ``universe``.
+
+    Ball centers range over all points of the metric, not just the universe.
+    Duplicate and dominated candidate balls are discarded before the search,
+    keeping the lowest center id of each surviving mask as its witness.
+    ``ub_centers`` and ``prune_at`` are passed through to the bitmask solver.
+    All balls are packed into bitmasks in one pass, and the containment test
+    runs on all pairs of distinct masks at once.
+    """
+    full = (1 << universe.size) - 1
+    ball = D[:, universe] <= r
+    packed = np.packbits(ball, axis=1, bitorder="little").tobytes()
+    width = len(packed) // D.shape[0]
+    mask_of = [
+        int.from_bytes(packed[y * width : (y + 1) * width], "little") for y in range(D.shape[0])
+    ]
+    mask_owner: dict[int, int] = {}
+    for y, mask in enumerate(mask_of):
+        if mask and mask not in mask_owner:
+            mask_owner[mask] = y
+    masks = sorted(mask_owner)
+    # drop masks strictly contained in another candidate: entry (s, t) counts
+    # the points of ball s outside ball t (exact in float64), zero when s is
+    # inside t, and distinct masks never contain each other both ways
+    members = ball[[mask_owner[s] for s in masks]].astype(np.float64)
+    inside = members @ (1.0 - members).T == 0.0
+    np.fill_diagonal(inside, False)
+    sets = [s for s, dominated in zip(masks, inside.any(axis=1).tolist()) if not dominated]
+    owners = [mask_owner[s] for s in sets]
+
+    ub_idx: list[int] = []
+    covered = 0
+    for c in ub_centers:
+        mask = mask_of[c]
+        # map the greedy center onto a surviving candidate containing its ball
+        for k, s in enumerate(sets):
+            if mask & s == mask:
+                if k not in ub_idx:
+                    ub_idx.append(k)
+                    covered |= s
+                break
+    if covered != full:  # pragma: no cover - greedy covers by construction
+        raise ValueError("upper-bound cover does not cover the universe")
+    if len(ub_idx) <= prune_at:
+        return len(ub_idx), sorted(owners[k] for k in ub_idx), True
+
+    size, choice, aborted = scalar_min_cover_bitmask(sets, full, ub_idx, prune_at)
+    return size, sorted(owners[k] for k in choice), aborted
+
+
 def scalar_doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> DimensionEstimate:
     """``doubling_estimate`` as one scalar greedy cover per (center, radius)
     event, visited in (center, ascending radius) order."""
@@ -247,7 +381,9 @@ def scalar_doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> Dimensio
             if len(greedy) <= best:
                 continue
             if exact:
-                size, centers, aborted = min_ball_cover(D, universe, float(r), greedy, prune_at=best)
+                size, centers, aborted = scalar_min_ball_cover(
+                    D, universe, float(r), greedy, prune_at=best
+                )
                 if aborted:
                     continue
                 best, witness = size, (x, float(r), tuple(centers))

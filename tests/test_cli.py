@@ -21,7 +21,7 @@ from doubling import (
     save_graph,
     save_metric,
 )
-from doubling import closure, metric
+from doubling import closure, completion, metric
 from doubling.cli import RunConfig, main, run
 from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
@@ -256,10 +256,12 @@ class TestMain:
         self, tmp_path, monkeypatch, capsys, command
     ):
         """Every pipeline that measures a closure runs the sample's preflight
-        before the input metric's dimension sweep."""
+        before the input metric's dimension sweep, the audit and the verifier."""
         src = tmp_path / "two.graph"
         src.write_text("graph 2\ne 0 1 1.0\n")
         monkeypatch.setattr(metric, "doubling_estimate", lambda *a, **k: pytest.fail("swept"))
+        monkeypatch.setattr(closure, "long_edge_audit", lambda *a: pytest.fail("audited"))
+        monkeypatch.setattr(completion, "verify_completion", lambda *a: pytest.fail("verified"))
         argv = [command, "--input", str(src), "--epsilon", "0.25", "--samples-per-edge", "100000000"]
         assert main(argv) == 2
         assert "memory" in capsys.readouterr().err

@@ -221,6 +221,11 @@ class TestSerialization:
             ("scale 2.0\nmeta 2 1\nlift 0 1 1 0 2\n", 5, "names an id outside"),
             ("scale 2.0\nmeta 2 1\ntail 0 0 0\ntail 0 0 1\n", 6, "a second tail record"),
             ("scale 2.0\nmeta 2 1\nlift 0 1 1 0 1\nlift 0 1 2 1 0\n", 6, "a second lift"),
+            ("scale 2.0\nmeta 2 1\ntail 0 -1 1\n", 5, "position 0 is u, others new vertices"),
+            ("scale 2.0\nmeta 2 1\ntail 0 0 1\n", 5, "position 0 is u, others new vertices"),
+            ("scale 2.0\nmeta 2 1\ntail 0 1 1\n", 5, "position 0 is u, others new vertices"),
+            ("scale 2.0\nmeta 2 1\nlift 0 1 0 0 1\n", 5, "wants u < v and a level >= 1"),
+            ("scale 2.0\nmeta 2 1\nlift 1 0 1 0 1\n", 5, "wants u < v and a level >= 1"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, records, line, reason):

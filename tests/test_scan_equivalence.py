@@ -6,7 +6,9 @@ loops. The whole ``DimensionEstimate`` must match, mode and witnesses
 included, in exact and greedy mode and at any scan block size. Nets, covers
 and packings share one single-row scan, which must pick what the scalar
 loops pick over the sorted, repeat-free point set, whatever order and
-repeats it is given.
+repeats it is given. The exact ball-cover search must return what the
+two-layer search (ball masks, then a bitmask solver) returns, early exits
+included.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from oracles import (
     scalar_doubling_estimate,
     scalar_greedy_cover,
     scalar_greedy_packing,
+    scalar_min_ball_cover,
     scalar_packing_lower_bound,
 )
 
@@ -146,6 +149,23 @@ def test_single_row_scans_match_scalar_in_any_order(family, seed, n, data):
         listed = np.asarray(sorted(points), dtype=np.intp)
         assert metric.greedy_net(m, r, points) == scalar_greedy_cover(D, listed, r)
         assert metric.greedy_net(m, r) == scalar_greedy_cover(D, np.arange(m.n), r)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 30), data=st.data())
+def test_exact_cover_matches_the_two_layer_search(family, seed, n, data):
+    """B(x, 2r) at a drawn event radius r = d(x, p)/2, the greedy cover as
+    the upper bound, and every early exit from none to the greedy size."""
+    m = FAMILIES[family](seed, n)
+    D = m.dist
+    row = D[data.draw(st.integers(0, m.n - 1))]
+    r = data.draw(st.sampled_from((np.unique(row) / 2.0).tolist()))
+    universe = np.flatnonzero(row <= 2.0 * r)
+    greedy = cover.greedy_ball_cover(D, universe, r)
+    for prune_at in (0, len(greedy) - 2, len(greedy) - 1, len(greedy)):
+        got = cover.min_ball_cover(D, universe, r, greedy, prune_at)
+        assert got == scalar_min_ball_cover(D, universe, r, greedy, prune_at), prune_at
 
 
 TINY = random_euclidean(3, 2, 1).dist
