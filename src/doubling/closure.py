@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyLongEdgeSet, InvalidPoint, VerificationError
+from .errors import ConfigError, EmptyLongEdgeSet, InvalidPoint, VerificationError
 from .metric import (
     REL_TOL,
     ROW_BLOCK,
@@ -26,7 +26,6 @@ from .metric import (
     distance_rows,
     doubling_estimate,
     packing_lower_bound,
-    shortest_path_metric,
 )
 
 __all__ = [
@@ -147,6 +146,28 @@ def _exit_table(g: WeightedGraph, pts: Sequence[ConvPoint]) -> _ExitTable:
     return _ExitTable(a, b, cost_a, cost_b, edge)
 
 
+def _exit_rows(g: WeightedGraph, V: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Dijkstra rows of the sorted distinct vertices ``V``, and the
+    distances among ``V`` read from them and symmetrised. Both directions of
+    every pair are among the rows, so the second matrix is bit for bit
+    ``shortest_path_metric(g).dist[np.ix_(V, V)]``, with no all-pairs run."""
+    rows = distance_rows(g, V)
+    among = rows[:, V]
+    return rows, np.minimum(among, among.T)
+
+
+def _exit_tables(
+    g: WeightedGraph, *point_sets: Sequence[ConvPoint]
+) -> tuple[np.ndarray, list[_ExitTable]]:
+    """The distances among the exit vertices of all ``point_sets``
+    (:func:`_exit_rows`), and each set's exit table with its exits
+    renumbered into that matrix."""
+    tables = [_exit_table(g, pts) for pts in point_sets]
+    V = np.unique(np.concatenate([t.a for t in tables] + [t.b for t in tables]))
+    _, D = _exit_rows(g, V)
+    return D, [t._replace(a=np.searchsorted(V, t.a), b=np.searchsorted(V, t.b)) for t in tables]
+
+
 def _distance_block(D: np.ndarray, p: _ExitTable, q: _ExitTable) -> np.ndarray:
     """Closure distances from every point of ``p`` to every point of ``q``:
     the cheapest ``cost_p + D[a, b] + cost_q`` over the four exit pairs,
@@ -182,8 +203,7 @@ def point_distances(
     Q[j])``; it can differ from entry (j, i) of the swapped call in the last
     bit, because the exit costs are added in the other order.
     """
-    tp, tq = _exit_table(g, P), _exit_table(g, Q)
-    D = shortest_path_metric(g).dist
+    D, (tp, tq) = _exit_tables(g, P, Q)
     out = np.empty((len(P), len(Q)))
     rows = max(1, _BLOCK_ENTRIES // max(1, len(Q)))
     for lo in range(0, len(P), rows):
@@ -195,8 +215,7 @@ def _pair_blocks(g: WeightedGraph, pts: Sequence[ConvPoint]) -> Iterator[tuple[i
     """The pairs i < j of ``pts`` in blocks of at most ``_BLOCK_ENTRIES``
     distances: ``(lo, block)`` with ``block[r, c]`` the distance between
     points ``lo + r`` and ``lo + 1 + c``, and NaN where that is not a pair."""
-    table = _exit_table(g, pts)
-    D = shortest_path_metric(g).dist
+    D, (table,) = _exit_tables(g, pts)
     n = len(pts)
     rows = max(1, _BLOCK_ENTRIES // max(1, n))
     for lo in range(0, n - 1, rows):
@@ -221,20 +240,25 @@ def conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
     return float(point_distances(g, [p], [q])[0, 0])
 
 
-def _lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int, ...]:
+def _lex_min_path(g: WeightedGraph, to_b: np.ndarray, a: int, b: int) -> tuple[int, ...]:
     """Lexicographically smallest shortest vertex path from a to b.
 
-    A step from x to w must be tight, ``cost + D[w, b]`` equal to
-    ``D[x, b]`` within tolerance, and must not revisit the path. Tightness
-    is read from the distances to b rather than from a running remainder,
-    whose rounding error on a long route exceeds the tolerance of the short
-    distances near b. Near a long edge the tolerance can exceed the
+    ``to_b`` is b's own Dijkstra row. A step from x to w must be tight,
+    ``cost + to_b[w]`` equal to ``to_b[x]`` within tolerance, and must not
+    revisit the path. Tightness is read from the distances to b rather than
+    from a running remainder, whose rounding error on a long route exceeds
+    the tolerance of the short distances near b. Each step along b's
+    shortest-path tree is exactly tight, since Dijkstra stored ``to_b[x]``
+    as that very sum; the walk can differ from one over the symmetrised
+    all-pairs column only where a step's slack lies within a few ulps of
+    ``REL_TOL * to_b[x]``. Near a long edge the tolerance can exceed the
     shortest edges, so a step back or aside may pass as well: the walk is
     depth first, smallest neighbour first, backs out of the dead end such a
     step leads into and never enters a dead vertex again, so every vertex
     leaves the path at most once.
     """
     ptr, neighbour, cost_to = g.csr.indptr, g.csr.indices, g.csr.data
+    to_b = to_b.tolist()
 
     def steps(x: int) -> Iterator[tuple[int, float]]:
         """(neighbour, edge length) of x by ascending neighbour: its CSR row."""
@@ -249,10 +273,10 @@ def _lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int,
         current = path[-1]
         if current == b:
             return tuple(path)
-        left = float(D[current, b])
+        left = to_b[current]
         tol = REL_TOL * left
         for w, cost in choices[-1]:
-            if w not in on_path and w not in dead and abs(cost + float(D[w, b]) - left) <= tol:
+            if w not in on_path and w not in dead and abs(cost + to_b[w] - left) <= tol:
                 path.append(w)
                 choices.append(steps(w))
                 on_path.add(w)
@@ -271,21 +295,26 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
     lexicographically smallest is walked (a same-edge segment visits no
     vertices and therefore wins every tie it enters). The walk runs over
     consecutive stops, p, the route's vertices and q, one edge per step.
+    Distances come from one Dijkstra run per exit vertex of p and q: which
+    exit pairs are tight is read among those exits (:func:`_exit_rows`,
+    exact), and the route to an exit b follows b's own row.
     """
     total = conv_distance(g, p, q)
     if not -REL_TOL * total <= s <= total * (1.0 + REL_TOL):
         raise ValueError(f"arc length {s!r} outside [0, {total!r}]")
     if s <= 0.0:
         return p
-    D = shortest_path_metric(g).dist
+    exits_p, exits_q = _exits(g, p), _exits(g, q)
+    V = sorted({x for x, _ in exits_p + exits_q})
+    rows, among = _exit_rows(g, V)
     tol = REL_TOL * total
     walks: list[tuple[int, ...]] = []
     if not p.is_vertex and p.edge == q.edge and abs(p.offset - q.offset) <= total + tol:
         walks.append(())
-    for a, cost_p in _exits(g, p):
-        for b, cost_q in _exits(g, q):
-            if abs(cost_p + float(D[a, b]) + cost_q - total) <= tol:
-                walks.append(_lex_min_path(g, D, a, b))
+    for a, cost_p in exits_p:
+        for b, cost_q in exits_q:
+            if abs(cost_p + float(among[V.index(a), V.index(b)]) + cost_q - total) <= tol:
+                walks.append(_lex_min_path(g, rows[V.index(b)], a, b))
     if not walks:
         raise AssertionError("no route realizes the computed distance")
     stops = [ConvPoint.at_vertex(w) for w in min(walks)]
@@ -457,9 +486,15 @@ def sample_points(g: WeightedGraph, samples_per_edge: int) -> list[ConvPoint]:
 
 def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:
     """Closure distances over :func:`sample_points`, as a finite metric. A
-    matrix beyond physical memory is refused before any point is built."""
+    matrix beyond physical memory, or an edge whose sample offsets overflow
+    float64, is refused before any point is built."""
     n = g.n_vertices + max(samples_per_edge, 0) * g.w.size
     _refuse_beyond_memory(n, "the closure sample")
+    longest = float(g.w.max(initial=0.0))
+    if not math.isfinite(samples_per_edge * longest):
+        raise ConfigError(
+            f"{samples_per_edge} samples per edge overflow the offsets on an edge of length {longest!r}"
+        )
     pts = sample_points(g, samples_per_edge)
     out = point_distances(g, pts, pts)
     out = np.minimum(out, out.T)

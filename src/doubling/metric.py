@@ -189,8 +189,9 @@ class WeightedGraph:
     no self-loops and at most one edge per pair. ``edges`` is the same data
     as a tuple of ``(u, v, length)``. The edges go into one symmetric CSR
     matrix, the graph's only adjacency structure. The instance is treated as
-    immutable once built; the tuple, the CSR, the edge lookup and the
-    shortest-path metric are each built on first use and cached on it.
+    immutable once built; the tuple, the CSR, the edge lookup, the component
+    labels and the shortest-path metric are each built on first use and
+    cached on it.
     """
 
     def __init__(
@@ -249,12 +250,16 @@ class WeightedGraph:
     def degrees(self) -> list[int]:
         return np.diff(self.csr.indptr).tolist()
 
+    @functools.cached_property
     def component_labels(self) -> np.ndarray:
+        """Connected-component label of every vertex, read-only: one
+        ``connected_components`` run on :attr:`csr` per graph."""
         _, labels = connected_components(self.csr, directed=False)
+        labels.setflags(write=False)
         return labels
 
     def is_connected(self) -> bool:
-        return bool((self.component_labels() == 0).all())
+        return bool((self.component_labels == 0).all())
 
     def is_tree(self) -> bool:
         return self.w.size == self.n_vertices - 1 and self.is_connected()
@@ -266,7 +271,7 @@ class WeightedGraph:
 def _require_connected(g: WeightedGraph) -> None:
     """Raise :class:`DisconnectedGraph`, naming one vertex per component,
     when the graph is not connected."""
-    labels = g.component_labels()
+    labels = g.component_labels
     if labels.max(initial=0) > 0:
         rep_a = int(np.flatnonzero(labels == 0)[0])
         rep_b = int(np.flatnonzero(labels != 0)[0])

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LevelOutOfRange, UnknownPoint
+from .errors import ConfigError, LevelOutOfRange, UnknownPoint
 from .metric import REL_TOL, FiniteMetric, _data_lines, greedy_net
 
 __all__ = [
@@ -92,13 +92,23 @@ def build_net_tree(m: FiniteMetric, eps: float) -> NetTree:
     The metric is rescaled so its minimum distance is exactly 2**tau(eps),
     each level's labels are the greedy net of the level below at radius
     2**i, and every node's parent is the same label when it survives, else
-    the lowest-id covering label. Levels stop at the first singleton.
+    the lowest-id covering label. Levels stop at the first singleton. A
+    metric whose rescaled distances overflow float64 is refused with
+    :class:`ConfigError`.
     """
     tau = tau_for(eps)
     n = m.n
     if n == 1:
         return NetTree([[0]], [[-1]], 1.0, np.zeros((1, 1)))
-    scale = 2.0**tau / m.min_distance()
+    smallest, largest = m.min_distance(), m.diameter()
+    scale = 2.0**tau / smallest
+    if not math.isfinite(scale):
+        raise ConfigError(f"smallest distance {smallest!r} is too small to rescale to 2**{tau}")
+    if not math.isfinite(largest * scale):
+        raise ConfigError(
+            f"largest distance {largest!r} overflows when the smallest, "
+            f"{smallest!r}, is rescaled to 2**{tau}"
+        )
     scaled = m.dist * scale
     scaled.setflags(write=False)
     sm = FiniteMetric(scaled, validate=False)

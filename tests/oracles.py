@@ -20,8 +20,10 @@ reference the blocked ``closure.point_distances`` must reproduce exactly;
 the certificate and witness oracles walk their pairs with it in nested loops.
 The scalar geodesic point collects its candidate routes as lists of
 pieces (exit segment, one piece per walked edge, entry segment) and walks
-the pieces of the lex-min route: the reference for the stop-by-stop walk of
-``closure.conv_geodesic_point``.
+the pieces of the lex-min route, each found by a depth-first walk over the
+symmetrised all-pairs column of its target: the reference for the
+stop-by-stop walk of ``closure.conv_geodesic_point``, which reads only the
+Dijkstra rows of the exit vertices.
 The scalar crossing check walks the half x half grid of prefix strings
 through ``has_edge``, the reference for the one-mask ``lcp_crossing_check``.
 
@@ -65,7 +67,7 @@ from doubling import (
     shortest_path_metric,
     verify_stretch,
 )
-from doubling.closure import AuditResult, ConvPoint, _lex_min_path, conv_distance
+from doubling.closure import AuditResult, ConvPoint, conv_distance
 from doubling.completion import Completion
 from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
@@ -442,6 +444,35 @@ def scalar_conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
     return best
 
 
+def dense_lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple[int, ...]:
+    """Lexicographically smallest shortest vertex path from a to b, with
+    every tightness test ``cost + D[w, b]`` against ``D[x, b]`` read from the
+    symmetrised all-pairs column of b; the same depth-first walk as
+    ``closure._lex_min_path``, which reads b's own Dijkstra row instead."""
+    adjacency = g.adjacency()
+    path = [a]
+    choices = [iter(adjacency[a])]
+    on_path = {a}
+    dead: set[int] = set()
+    while path:
+        current = path[-1]
+        if current == b:
+            return tuple(path)
+        left = float(D[current, b])
+        tol = REL_TOL * left
+        for w, cost in choices[-1]:
+            if w not in on_path and w not in dead and abs(cost + float(D[w, b]) - left) <= tol:
+                path.append(w)
+                choices.append(iter(adjacency[w]))
+                on_path.add(w)
+                break
+        else:
+            dead.add(current)
+            on_path.discard(path.pop())
+            choices.pop()
+    raise AssertionError(f"no shortest-path walk from {a} reaches {b}")
+
+
 def scalar_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) -> ConvPoint:
     """``conv_geodesic_point`` as route records of (u, v, start, end) pieces,
     each a move along edge {u, v} between offsets measured from u."""
@@ -461,7 +492,7 @@ def scalar_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float
         for b, cost_q in _scalar_exits(g, q):
             if abs(cost_p + float(D[a, b]) + cost_q - total) > tol:
                 continue
-            walk = _lex_min_path(g, D, a, b)
+            walk = dense_lex_min_path(g, D, a, b)
             pieces = []
             if not p.is_vertex:
                 u, v = p.edge

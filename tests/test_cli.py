@@ -214,6 +214,27 @@ class TestMain:
         assert "Traceback" not in err and err.count(str(src)) == 1
 
     @pytest.mark.parametrize(
+        "command,name,text,fault",
+        [
+            ("complete-tree", "tiny.graph", "graph 2\ne 0 1 5e-324\n", "smallest distance 5e-324"),
+            ("spanner", "tiny.metric", "metric 2\nd 0 1 5e-324\n", "smallest distance 5e-324"),
+            ("complete-tree", "wide.graph", "graph 3\ne 0 1 1e-300\ne 1 2 1e300\n", "largest distance 1e+300"),
+            ("dim", "long.graph", "graph 2\ne 0 1 1e308\n", "edge of length 1e+308"),
+        ],
+    )
+    def test_distances_beyond_float_range_are_a_usage_error(
+        self, tmp_path, capsys, command, name, text, fault
+    ):
+        """A net-tree rescale or closure sample offset that overflows float64
+        is refused with exit 2, not a traceback or an invalid point."""
+        src = tmp_path / name
+        src.write_text(text, encoding="utf-8")
+        eps = [] if command == "dim" else ["--epsilon", "0.25"]
+        assert main([command, "--input", str(src), *eps]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fault in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command", [["dim"], ["audit"], ["spanner", "--epsilon", "0.25"]]
     )
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys, command):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from doubling import (
     REL_TOL,
+    ConfigError,
     EmptyLongEdgeSet,
     InvalidPoint,
     WeightedGraph,
@@ -19,6 +20,7 @@ from doubling import (
     random_tree,
     shortest_path_metric,
 )
+from doubling import closure
 from doubling.closure import (
     ConvPoint,
     conv_distance,
@@ -139,12 +141,14 @@ class TestGeodesicPoint:
 
 
 # k in [0, 700) picks each graph; completed stars run over 16-40 leaves
-# (k % 25) and eps = 2^-2 ... 2^-29 (k // 25)
+# (k % 25) and eps = 2^-2 ... 2^-29 (k // 25), completed random trees over
+# 2-13 vertices (k % 12) and eps = 2^-2 ... 2^-8 (k % 7)
 GEODESIC_GRAPHS = {
     "random-tree": lambda k: random_tree(2 + k % 20, k),
     "completed-star": lambda k: complete_tree(
         exponential_star(16 + k % 25), 2.0 ** -(2 + k // 25)
     ).output,
+    "completed-tree": lambda k: complete_tree(random_tree(2 + k % 12, k), 2.0 ** -(2 + k % 7)).output,
     "planar-spanner": lambda k: build_spanner(random_euclidean(3 + k % 28, 2, k), 0.25).graph,
     "lcp-spanner": lambda k: build_spanner(lcp_metric(2 + k % 3), 2.0 ** -(3 + k % 3)).graph,
 }
@@ -180,9 +184,10 @@ def closure_pairs(draw, g: WeightedGraph):
 @settings(max_examples=25, deadline=None)
 @given(k=st.integers(0, 699), data=st.data())
 def test_geodesic_walk_matches_the_piece_walk(family, k, data):
-    """The stop-by-stop walk lands on the point the route-piece walk of
-    ``oracles.scalar_geodesic_point`` lands on, bit for bit, from s = 0 to
-    just past the total."""
+    """The stop-by-stop walk, reading only the Dijkstra rows of the exit
+    vertices, lands on the point the route-piece walk of
+    ``oracles.scalar_geodesic_point`` lands on over the symmetrised
+    all-pairs matrix, bit for bit, from s = 0 to just past the total."""
     g = geodesic_graph(family, k)
     for _ in range(3):
         p, q = data.draw(closure_pairs(g))
@@ -296,6 +301,16 @@ class TestSampledDimension:
             for j, q in enumerate(pts):
                 both = min(scalar_conv_distance(g, p, q), scalar_conv_distance(g, q, p))
                 assert m.dist[i, j] == (0.0 if i == j else both)
+
+    def test_sample_offsets_beyond_float_range_are_refused(self, monkeypatch):
+        """Two samples on an edge of length 1e308 would sit at 2e308 / 3:
+        refused before any point is built. One sample sits at 5e307."""
+        g = single_edge(1e308)
+        with monkeypatch.context() as mp:
+            mp.setattr(closure, "sample_points", lambda *a: pytest.fail("built points"))
+            with pytest.raises(ConfigError, match="edge of length 1e\\+308"):
+                sample_metric(g, 2)
+        assert sample_points(g, 1)[-1] == ConvPoint.on_edge(0, 1, 5e307)
 
     def test_single_vertex(self):
         est = sampled_conv_dimension(WeightedGraph(1, []), 3)

@@ -13,6 +13,7 @@ from doubling import (
     FiniteMetric,
     SizeMismatch,
     WeightedGraph,
+    distance_rows,
     doubling_estimate,
     greedy_net,
     lcp_metric,
@@ -25,6 +26,7 @@ from doubling import (
     shortest_path_metric,
     verify_stretch,
 )
+from doubling import metric
 from doubling.closure import sample_metric
 from oracles import exhaustive_doubling_constant
 
@@ -104,6 +106,25 @@ class TestWeightedGraph:
         assert path.is_tree()
         assert cycle.is_connected() and not cycle.is_tree()
         assert not split.is_connected()
+
+    def test_components_are_labelled_once_per_graph(self, monkeypatch):
+        """Every ``distance_rows`` call checks connectivity; the labels behind
+        the check are computed once per graph and cannot be written."""
+        runs = []
+        labelled = metric.connected_components
+        monkeypatch.setattr(
+            metric, "connected_components", lambda *a, **k: runs.append(1) or labelled(*a, **k)
+        )
+        g = random_tree(12, 3)
+        for sources in ([0], [1, 2], range(12), []):
+            distance_rows(g, sources)
+        assert g.is_connected() and g.is_tree() and len(runs) == 1
+        assert not g.component_labels.flags.writeable
+        split = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        for _ in range(3):
+            with pytest.raises(DisconnectedGraph):
+                distance_rows(split, [0])
+        assert len(runs) == 2
 
     def test_shortest_paths_and_disconnection(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 10.0), (2, 3, 1.0)])

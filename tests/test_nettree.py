@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from doubling import (
+    ConfigError,
     FiniteMetric,
     LevelOutOfRange,
     UnknownPoint,
@@ -89,6 +90,22 @@ class TestBuild:
         assert t.top_level == 0
         assert t.n_points == 1
         assert istar(t, 0) == 0
+
+    @pytest.mark.parametrize(
+        "dist,fault",
+        [
+            ([[0.0, 5e-324], [5e-324, 0.0]], "smallest distance 5e-324"),
+            (
+                [[0.0, 1e-300, 1e300], [1e-300, 0.0, 1e300], [1e300, 1e300, 0.0]],
+                "largest distance 1e+300",
+            ),
+        ],
+    )
+    def test_rescale_beyond_float_range_is_refused(self, dist, fault):
+        """2**8 / 5e-324 and 1e300 * 2**8 / 1e-300 overflow: refused before
+        the matrix is scaled, naming the distance at fault."""
+        with pytest.raises(ConfigError, match=re.escape(fault)):
+            build_net_tree(FiniteMetric(dist, validate=False), 0.25)
 
     def test_scaled_minimum_is_exact(self):
         m = FiniteMetric([[0.0, 0.7, 1.4], [0.7, 0.0, 0.7], [1.4, 0.7, 0.0]], validate=False)

@@ -8,6 +8,7 @@ long-edge packing witness and the prefix metric.
 """
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -28,10 +29,12 @@ from doubling import (
     random_tree,
     star_lb_certificate,
 )
+import doubling
 from doubling import closure
 from doubling.closure import (
     ConvPoint,
     conv_distance,
+    conv_geodesic_point,
     long_edge_packing_witness,
     pairwise_window,
     point_distances,
@@ -42,6 +45,7 @@ from oracles import (
     bit_length_lcp_matrix,
     scalar_conv_distance,
     scalar_crossing_midpoint_packing,
+    scalar_geodesic_point,
     scalar_lcp_crossing_check,
     scalar_packing_witness,
     scalar_pair_window,
@@ -201,6 +205,54 @@ def test_star_certificate_below_two_to_the_minus_13(leaves, k):
     for pt in cert.points:
         assert math.isclose(scalar_conv_distance(c.output, center, pt), 1.0, rel_tol=1e-9)
     assert cert.dim_lower == 0.5 * math.log2(size)
+
+
+def refuse_all_pairs(mp: pytest.MonkeyPatch) -> None:
+    """Make every binding of ``shortest_path_metric`` in the package raise."""
+
+    def refuse(g):
+        raise AssertionError(f"all-pairs run on {g!r}")
+
+    for module in [doubling, *vars(doubling).values()]:
+        if inspect.ismodule(module) and hasattr(module, "shortest_path_metric"):
+            mp.setattr(module, "shortest_path_metric", refuse)
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_star_certificate_reads_no_all_pairs_matrix(k):
+    """The certificate's points are those the dense oracle walk lands on, and
+    neither its geodesics nor its point queries run all-pairs on the
+    completed star: its cached metric stays empty."""
+    eps = 2.0**-k
+    c = complete_tree(exponential_star(20), eps)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_all_pairs(mp)
+        cert = star_lb_certificate(c, eps)
+    assert cert.ok and c.output._metric is None
+    center = ConvPoint.at_vertex(0)
+    want = [
+        scalar_geodesic_point(c.output, center, ConvPoint.at_vertex(i), 1.0)
+        for i in range(1, cert.size + 1)
+    ]
+    assert [repr(pt) for pt in cert.points] == [repr(pt) for pt in want]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), k=st.integers(0, 1000))
+def test_point_queries_read_no_all_pairs_matrix(family, data, k):
+    """Distances, windows and geodesics on a fresh graph leave its cached
+    metric empty."""
+    shared = FAMILIES[family](k)
+    g = WeightedGraph(shared.n_vertices, shared.edges)
+    P = data.draw(point_sets(g), label="P")
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_all_pairs(mp)
+        point_distances(g, P, P)
+        pairwise_window(g, P)
+        if P:
+            conv_geodesic_point(g, P[0], P[-1], 0.5 * conv_distance(g, P[0], P[-1]))
+    assert g._metric is None
 
 
 @pytest.mark.parametrize("p", range(1, 9))
