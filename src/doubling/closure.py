@@ -172,19 +172,22 @@ def _distance_block(D: np.ndarray, p: _ExitTable, q: _ExitTable) -> np.ndarray:
     """Closure distances from every point of ``p`` to every point of ``q``:
     the cheapest ``cost_p + D[a, b] + cost_q`` over the four exit pairs,
     or the straight offset difference for two points on one edge. Sums are
-    taken in place, so a block holds two arrays of its size at a time."""
-    out = D[np.ix_(p.a, q.a)]
-    out += p.cost_a[:, None]
-    out += q.cost_a
-    for pa, pc, qa, qc in (
-        (p.a, p.cost_a, q.b, q.cost_b),
-        (p.b, p.cost_b, q.a, q.cost_a),
-        (p.b, p.cost_b, q.b, q.cost_b),
-    ):
-        term = D[np.ix_(pa, qa)]
-        term += pc[:, None]
-        term += qc
-        np.minimum(out, term, out=out)
+    taken in place, so a block holds two arrays of its size at a time. A
+    sum past the float range is inf, the right value for an exit
+    combination the minimum drops (or for a distance that large)."""
+    with np.errstate(over="ignore"):
+        out = D[np.ix_(p.a, q.a)]
+        out += p.cost_a[:, None]
+        out += q.cost_a
+        for pa, pc, qa, qc in (
+            (p.a, p.cost_a, q.b, q.cost_b),
+            (p.b, p.cost_b, q.a, q.cost_a),
+            (p.b, p.cost_b, q.b, q.cost_b),
+        ):
+            term = D[np.ix_(pa, qa)]
+            term += pc[:, None]
+            term += qc
+            np.minimum(out, term, out=out)
     same = (p.edge[:, None] == q.edge) & (p.edge[:, None] >= 0)
     if same.any():
         np.subtract(p.cost_a[:, None], q.cost_a, out=term)

@@ -304,13 +304,18 @@ class TestSampledDimension:
 
     def test_sample_offsets_beyond_float_range_are_refused(self, monkeypatch):
         """Two samples on an edge of length 1e308 would sit at 2e308 / 3:
-        refused before any point is built. One sample sits at 5e307."""
+        refused before any point is built. One sample sits at 5e307, and
+        the exit sums past the float range that its distances drop raise
+        no warning (the suite turns one into an error)."""
         g = single_edge(1e308)
         with monkeypatch.context() as mp:
             mp.setattr(closure, "sample_points", lambda *a: pytest.fail("built points"))
             with pytest.raises(ConfigError, match="edge of length 1e\\+308"):
                 sample_metric(g, 2)
         assert sample_points(g, 1)[-1] == ConvPoint.on_edge(0, 1, 5e307)
+        np.testing.assert_array_equal(
+            sample_metric(g, 1).dist, [[0.0, 1e308, 5e307], [1e308, 0.0, 5e307], [5e307, 5e307, 0.0]]
+        )
 
     def test_single_vertex(self):
         est = sampled_conv_dimension(WeightedGraph(1, []), 3)
