@@ -78,33 +78,6 @@ class ConvPoint:
         return f"ConvPoint(edge=({u}, {v}), offset={self.offset!r})"
 
 
-def _check_point(g: WeightedGraph, p: ConvPoint) -> None:
-    if p.is_vertex:
-        v = p.vertex
-        if not 0 <= v < g.n_vertices:  # type: ignore[operator]
-            raise InvalidPoint(f"vertex {v} out of range for {g.n_vertices} vertices")
-        return
-    if p.edge is None:
-        raise InvalidPoint("point is neither a vertex nor an edge position")
-    u, v = p.edge
-    if not g.has_edge(u, v):
-        raise InvalidPoint(f"no edge between {u} and {v}")
-    length = g.edge_length(u, v)
-    if not 0.0 < p.offset < length:
-        raise InvalidPoint(
-            f"offset {p.offset!r} outside the open interval (0, {length!r})"
-        )
-
-
-def _exits(g: WeightedGraph, p: ConvPoint) -> list[tuple[int, float]]:
-    """(vertex, cost to reach it from p along p's own edge) options."""
-    if p.is_vertex:
-        return [(p.vertex, 0.0)]  # type: ignore[list-item]
-    u, v = p.edge  # type: ignore[misc]
-    length = g.edge_length(u, v)
-    return [(u, p.offset), (v, length - p.offset)]
-
-
 # Distances (rows x columns) per row block when a point set is walked in
 # blocks: 512 KiB per array, so a window over thousands of points holds
 # about 1 MiB of temporaries instead of the whole pairwise matrix.
@@ -134,38 +107,41 @@ def _exit_table(g: WeightedGraph, pts: Sequence[ConvPoint]) -> _ExitTable:
     cost_b = np.zeros(n)
     edge = np.full(n, -1, dtype=np.int64)
     for i, p in enumerate(pts):
-        _check_point(g, p)
         if p.is_vertex:
+            if not 0 <= p.vertex < g.n_vertices:  # type: ignore[operator]
+                raise InvalidPoint(f"vertex {p.vertex} out of range for {g.n_vertices} vertices")
             a[i] = b[i] = p.vertex  # type: ignore[assignment]
-        else:
-            u, v = p.edge  # type: ignore[misc]
-            a[i], b[i] = u, v
-            cost_a[i] = p.offset
-            cost_b[i] = g.edge_length(u, v) - p.offset
-            edge[i] = u * g.n_vertices + v
+            continue
+        if p.edge is None:
+            raise InvalidPoint("point is neither a vertex nor an edge position")
+        u, v = p.edge
+        if not g.has_edge(u, v):
+            raise InvalidPoint(f"no edge between {u} and {v}")
+        length = g.edge_length(u, v)
+        if not 0.0 < p.offset < length:
+            raise InvalidPoint(f"offset {p.offset!r} outside the open interval (0, {length!r})")
+        a[i], b[i] = u, v
+        cost_a[i] = p.offset
+        cost_b[i] = length - p.offset
+        edge[i] = u * g.n_vertices + v
     return _ExitTable(a, b, cost_a, cost_b, edge)
-
-
-def _exit_rows(g: WeightedGraph, V: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Dijkstra rows of the sorted distinct vertices ``V``, and the
-    distances among ``V`` read from them and symmetrised. Both directions of
-    every pair are among the rows, so the second matrix is bit for bit
-    ``shortest_path_metric(g).dist[np.ix_(V, V)]``, with no all-pairs run."""
-    rows = distance_rows(g, V)
-    among = rows[:, V]
-    return rows, np.minimum(among, among.T)
 
 
 def _exit_tables(
     g: WeightedGraph, *point_sets: Sequence[ConvPoint]
-) -> tuple[np.ndarray, list[_ExitTable]]:
-    """The distances among the exit vertices of all ``point_sets``
-    (:func:`_exit_rows`), and each set's exit table with its exits
-    renumbered into that matrix."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[_ExitTable]]:
+    """The sorted distinct exit vertices ``V`` of all ``point_sets``, their
+    Dijkstra rows, the distances among ``V`` read from those rows and
+    symmetrised, and each set's exit table with its exits renumbered into
+    ``V``. Both directions of every pair are among the rows, so the third
+    matrix is bit for bit ``shortest_path_metric(g).dist[np.ix_(V, V)]``,
+    with no all-pairs run."""
     tables = [_exit_table(g, pts) for pts in point_sets]
     V = np.unique(np.concatenate([t.a for t in tables] + [t.b for t in tables]))
-    _, D = _exit_rows(g, V)
-    return D, [t._replace(a=np.searchsorted(V, t.a), b=np.searchsorted(V, t.b)) for t in tables]
+    rows = distance_rows(g, V)
+    among = rows[:, V]
+    renumbered = [t._replace(a=np.searchsorted(V, t.a), b=np.searchsorted(V, t.b)) for t in tables]
+    return V, rows, np.minimum(among, among.T), renumbered
 
 
 def _distance_block(D: np.ndarray, p: _ExitTable, q: _ExitTable) -> np.ndarray:
@@ -206,7 +182,7 @@ def point_distances(
     Q[j])``; it can differ from entry (j, i) of the swapped call in the last
     bit, because the exit costs are added in the other order.
     """
-    D, (tp, tq) = _exit_tables(g, P, Q)
+    _, _, D, (tp, tq) = _exit_tables(g, P, Q)
     out = np.empty((len(P), len(Q)))
     rows = max(1, _BLOCK_ENTRIES // max(1, len(Q)))
     for lo in range(0, len(P), rows):
@@ -218,7 +194,7 @@ def _pair_blocks(g: WeightedGraph, pts: Sequence[ConvPoint]) -> Iterator[tuple[i
     """The pairs i < j of ``pts`` in blocks of at most ``_BLOCK_ENTRIES``
     distances: ``(lo, block)`` with ``block[r, c]`` the distance between
     points ``lo + r`` and ``lo + 1 + c``, and NaN where that is not a pair."""
-    D, (table,) = _exit_tables(g, pts)
+    _, _, D, (table,) = _exit_tables(g, pts)
     n = len(pts)
     rows = max(1, _BLOCK_ENTRIES // max(1, n))
     for lo in range(0, n - 1, rows):
@@ -299,7 +275,7 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
     vertices and therefore wins every tie it enters). The walk runs over
     consecutive stops, p, the route's vertices and q, one edge per step.
     Distances come from one Dijkstra run per exit vertex of p and q: which
-    exit pairs are tight is read among those exits (:func:`_exit_rows`,
+    exit pairs are tight is read among those exits (:func:`_exit_tables`,
     exact), and the route to an exit b follows b's own row.
     """
     total = conv_distance(g, p, q)
@@ -307,17 +283,19 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
         raise ValueError(f"arc length {s!r} outside [0, {total!r}]")
     if s <= 0.0:
         return p
-    exits_p, exits_q = _exits(g, p), _exits(g, q)
-    V = sorted({x for x, _ in exits_p + exits_q})
-    rows, among = _exit_rows(g, V)
+    V, rows, D, (tp, tq) = _exit_tables(g, [p], [q])
+    # exit (position in V) -> cost; a vertex's two exits fold into one key
+    exits_p, exits_q = (
+        {int(t.a[0]): float(t.cost_a[0]), int(t.b[0]): float(t.cost_b[0])} for t in (tp, tq)
+    )
     tol = REL_TOL * total
     walks: list[tuple[int, ...]] = []
     if not p.is_vertex and p.edge == q.edge and abs(p.offset - q.offset) <= total + tol:
         walks.append(())
-    for a, cost_p in exits_p:
-        for b, cost_q in exits_q:
-            if abs(cost_p + float(among[V.index(a), V.index(b)]) + cost_q - total) <= tol:
-                walks.append(_lex_min_path(g, rows[V.index(b)], a, b))
+    for a, cost_p in exits_p.items():
+        for b, cost_q in exits_q.items():
+            if abs(cost_p + float(D[a, b]) + cost_q - total) <= tol:
+                walks.append(_lex_min_path(g, rows[b], int(V[a]), int(V[b])))
     if not walks:
         raise AssertionError("no route realizes the computed distance")
     stops = [ConvPoint.at_vertex(w) for w in min(walks)]
@@ -477,13 +455,22 @@ def long_edge_packing_witness(g: WeightedGraph, u: int, r: float) -> list[ConvPo
 
 
 def sample_points(g: WeightedGraph, samples_per_edge: int) -> list[ConvPoint]:
-    """All vertices plus evenly spaced interior points on every edge."""
+    """All vertices plus evenly spaced interior points on every edge.
+
+    On an edge too short for its spacing (a subnormal length) offsets round
+    onto 0, onto the length or onto each other; only those strictly inside
+    (0, length) that differ from the offset kept before them are sampled.
+    """
     if samples_per_edge < 0:
         raise ValueError("samples_per_edge must be nonnegative")
     pts = [ConvPoint.at_vertex(v) for v in range(g.n_vertices)]
     for u, v, length in g.edges:
+        last = 0.0
         for j in range(1, samples_per_edge + 1):
-            pts.append(ConvPoint.on_edge(u, v, j * length / (samples_per_edge + 1)))
+            x = j * length / (samples_per_edge + 1)
+            if last < x < length:
+                pts.append(ConvPoint.on_edge(u, v, x))
+                last = x
     return pts
 
 

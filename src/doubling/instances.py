@@ -65,11 +65,13 @@ def lcp_metric(p: int) -> FiniteMetric:
 
 def random_euclidean(n: int, ambient_dim: int, seed: int) -> FiniteMetric:
     """Uniform points in the unit cube; plain Euclidean distances, a metric
-    by construction, so the triangle check is skipped."""
+    by construction, so the triangle check is skipped. A dense matrix larger
+    than the machine's physical memory is refused before anything is built."""
     if n < 1:
         raise ValueError("need at least one point")
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be positive")
+    _refuse_beyond_memory(n, f"euclidean-random n = {n}")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, ambient_dim))
     if n == 1:

@@ -67,14 +67,16 @@ def _triangle_violation(D: np.ndarray) -> tuple[int, int, str] | None:
     """The first pair (i < j) whose distance exceeds a two-hop route, with
     the message that reports it; None when the triangle inequality holds."""
     n = D.shape[0]
+    via = np.empty_like(D)  # one buffer and one mask, reused for every k
+    bad = np.empty(D.shape, dtype=bool)
     for k in range(n):
-        via = D[:, k, None] + D[None, k, :]
-        bad = D > via * (1.0 + REL_TOL)
-        if bad.any():
+        np.add(D[:, k, None], D[None, k, :], out=via)
+        via *= 1.0 + REL_TOL
+        if np.greater(D, via, out=bad).any():
             i, j = np.argwhere(bad)[0]  # bad is symmetric, so i < j
             return int(i), int(j), (
                 f"triangle inequality fails: d({i},{j})={D[i, j]!r} > "
-                f"d({i},{k})+d({k},{j})={via[i, j]!r}"
+                f"d({i},{k})+d({k},{j})={D[i, k] + D[k, j]!r}"
             )
     return None
 
@@ -282,10 +284,12 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     """All-pairs shortest-path metric of a connected graph.
 
     Raises :class:`DisconnectedGraph` naming one vertex per component when
-    the graph is not connected. The result is cached on the graph.
+    the graph is not connected, and :class:`ConfigError` before any search
+    when the matrix would not fit in memory. The result is cached on the graph.
     """
     if g._metric is not None:
         return g._metric
+    _refuse_beyond_memory(g.n_vertices, "the shortest-path metric")
     _require_connected(g)
     # the CSR already holds both directions of every edge, so the directed
     # search sees the same candidate sums as an undirected one
@@ -416,10 +420,14 @@ def doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> DimensionEstima
     witness: tuple[int, float, tuple[int, ...]] | None = None
     for x in range(n):
         row = D[x]
-        radii = np.unique(row[row > 0.0]) / 2.0
-        for k in _beating_events(D, row, 2.0 * radii, radii, lambda: best):
+        events = np.unique(row[row > 0.0])
+        # below the normal range d / 2 can round up (and 2r miss d); rounded
+        # down instead, D <= r reads D <= d / 2 exactly
+        radii = events / 2.0
+        radii = np.where(2.0 * radii > events, np.nextafter(radii, -np.inf), radii)
+        for k in _beating_events(D, row, events, radii, lambda: best):
             r = float(radii[k])
-            universe = np.flatnonzero(row <= 2.0 * r)
+            universe = np.flatnonzero(row <= events[k])
             greedy = cover.greedy_ball_cover(D, universe, r)
             if exact:
                 size, centers, aborted = cover.min_ball_cover(
@@ -475,10 +483,14 @@ def packing_lower_bound(m: FiniteMetric) -> DimensionEstimate:
         row = D[x]
         positive = np.unique(row[row > 0.0])
         radii = np.unique(np.concatenate([positive / 2.0, positive]))
-        below = np.nextafter(radii / 2.0, -np.inf)
+        # below the normal range r / 2 can round down (to 0 at the bottom);
+        # rounded up instead, D >= half reads D >= r / 2 exactly
+        half = radii / 2.0
+        half = np.where(2.0 * half < radii, np.nextafter(half, np.inf), half)
+        below = np.nextafter(half, -np.inf)
         for k in _beating_events(D, row, radii, below, lambda: best):
             r = float(radii[k])
-            packed = cover.greedy_packing(D, np.flatnonzero(row <= r), r / 2.0)
+            packed = cover.greedy_packing(D, np.flatnonzero(row <= r), float(half[k]))
             _verify_packing(D, x, r, packed)
             best = len(packed)
             witness = (x, r, tuple(packed))
@@ -574,10 +586,12 @@ def save_metric(m: FiniteMetric, path: str) -> None:
 
 def load_metric(path: str) -> FiniteMetric:
     """Read a file written by :func:`save_metric`; every ``ValueError`` reads
-    ``path:line: reason``."""
+    ``path:line: reason``. A header whose matrix would not fit in memory is a
+    :class:`ConfigError`, raised before the matrix is allocated."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = _data_lines(fh)
         at, n = _header(path, lines, "metric")
+        _refuse_beyond_memory(n, f"{path}:{at}: metric {n}")
         D = np.zeros((n, n))
         line_of = np.zeros((n, n), dtype=np.int64)  # 0: pair not given yet
         try:
@@ -600,6 +614,7 @@ def load_metric(path: str) -> FiniteMetric:
                 raise ValueError(violation[2])
         except ValueError as exc:
             raise ValueError(f"{path}:{at}: {exc}") from None
+    del line_of  # FiniteMetric copies D: peak three matrices, not four
     return FiniteMetric(D, validate=False)
 
 

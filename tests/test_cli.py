@@ -21,7 +21,7 @@ from doubling import (
     save_graph,
     save_metric,
 )
-from doubling import closure, completion, metric
+from doubling import closure, completion, instances, metric
 from doubling.cli import RunConfig, main, run
 from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
@@ -261,6 +261,49 @@ class TestMain:
         monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
         assert main(["certify-lcp", "--p", "40"]) == 2
         assert "memory" in capsys.readouterr().err
+
+    def test_dim_refuses_a_metric_header_beyond_memory(self, tmp_path, monkeypatch, capsys):
+        """A ``metric 1000000`` header asks for 8 * 10**12 bytes; the loader
+        refuses at the header, before the matrix is allocated."""
+        src = tmp_path / "big.metric"
+        src.write_text("metric 1000000\nd 0 1 1.0\n")
+        monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+        assert main(["dim", "--input", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:1: ") and "memory" in err
+
+    def test_complete_tree_refuses_an_all_pairs_matrix_beyond_memory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A 200,000-vertex path asks for a 3.2 * 10**11-byte all-pairs
+        matrix; it is refused before Dijkstra and the connectivity check."""
+        n = 200_000
+        src = tmp_path / "path.graph"
+        src.write_text(f"graph {n}\n" + "".join(f"e {i} {i + 1} 1.0\n" for i in range(n - 1)))
+        monkeypatch.setattr(metric, "dijkstra", lambda *a, **k: pytest.fail("searched"))
+        monkeypatch.setattr(metric, "_require_connected", lambda *a: pytest.fail("checked"))
+        assert main(["complete-tree", "--input", str(src), "--epsilon", "0.25"]) == 2
+        assert "memory" in capsys.readouterr().err
+
+    def test_gen_euclidean_refuses_a_matrix_beyond_memory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(instances, "pdist", lambda *a, **k: pytest.fail("allocated"))
+        argv = ["gen", "--family", "euclidean-random", "--n", "1000000"]
+        assert main(argv + ["--output", str(tmp_path / "pts.metric")]) == 2
+        assert "memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", ["5e-324", "1e-323"])
+    def test_dim_on_a_subnormal_edge(self, tmp_path, capsys, length):
+        """Sample offsets that round onto an endpoint or onto each other are
+        dropped, and halved radii that round are stepped the safe way, so
+        every upper bound stays above its lower bound."""
+        src = tmp_path / "tiny.graph"
+        src.write_text(f"graph 2\ne 0 1 {length}\n")
+        assert main(["dim", "--input", str(src)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        dims = dict(line.split(" = ") for line in out.split("[dim]\n")[1].split("[")[0].splitlines())
+        assert float(dims["input_upper"]) >= float(dims["input_lower"]) > 0.0
+        assert float(dims["conv_sampled_upper"]) >= float(dims["conv_sampled_lower"]) > 0.0
 
     def test_dim_refuses_a_closure_sample_beyond_memory(self, tmp_path, monkeypatch, capsys):
         """10^8 samples on one edge ask for a (10^8 + 2)-point sample; the

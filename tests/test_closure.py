@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,39 @@ class TestConvPoint:
         g = unit_triangle()
         with pytest.raises(InvalidPoint):
             conv_distance(g, ConvPoint.on_edge(0, 3, 0.1), ConvPoint.at_vertex(0))
+
+
+def path_graph() -> WeightedGraph:
+    return WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (ConvPoint.at_vertex(3), "vertex 3 out of range for 3 vertices"),
+        (ConvPoint.at_vertex(-1), "vertex -1 out of range for 3 vertices"),
+        (ConvPoint(), "point is neither a vertex nor an edge position"),
+        (ConvPoint.on_edge(0, 2, 0.5), "no edge between 0 and 2"),
+        (ConvPoint.on_edge(1, 2, 0.0), "offset 0.0 outside the open interval (0, 2.0)"),
+        (ConvPoint.on_edge(1, 2, 2.0), "offset 2.0 outside the open interval (0, 2.0)"),
+    ],
+)
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g, bad: closure.point_distances(g, [ConvPoint.at_vertex(0), bad], [ConvPoint.at_vertex(1)]),
+        lambda g, bad: closure.point_distances(g, [ConvPoint.at_vertex(0)], [bad]),
+        lambda g, bad: closure.pairwise_window(g, [ConvPoint.at_vertex(0), bad]),
+        lambda g, bad: conv_geodesic_point(g, bad, ConvPoint.at_vertex(0), 0.0),
+        lambda g, bad: conv_geodesic_point(g, ConvPoint.at_vertex(0), bad, 0.0),
+    ],
+    ids=["point_distances-P", "point_distances-Q", "pairwise_window", "geodesic-p", "geodesic-q"],
+)
+def test_invalid_points_are_refused_by_name(query, bad, message):
+    """Every closure query checks its points in one place and names the
+    check that failed."""
+    with pytest.raises(InvalidPoint, match=f"^{re.escape(message)}$"):
+        query(path_graph(), bad)
 
 
 class TestConvDistance:
@@ -316,6 +350,24 @@ class TestSampledDimension:
         np.testing.assert_array_equal(
             sample_metric(g, 1).dist, [[0.0, 1e308, 5e307], [1e308, 0.0, 5e307], [5e307, 5e307, 0.0]]
         )
+
+    @pytest.mark.parametrize(
+        "length,interior",
+        [(5e-324, []), (1e-323, [5e-324])],
+    )
+    def test_subnormal_edges_sample_distinct_interior_points(self, length, interior):
+        """On an edge too short for its spacing the offsets j * length / 3
+        round onto 0, onto the length or onto each other: those are dropped,
+        so the sample holds no endpoint twice and no two points at distance 0."""
+        g = single_edge(length)
+        pts = sample_points(g, 2)
+        assert pts == [ConvPoint.at_vertex(0), ConvPoint.at_vertex(1)] + [
+            ConvPoint.on_edge(0, 1, x) for x in interior
+        ]
+        m = sample_metric(g, 2)
+        assert m.n == len(pts) and (m.dist[~np.eye(m.n, dtype=bool)] > 0.0).all()
+        est = sampled_conv_dimension(g, 2)
+        assert est.dim_upper >= est.dim_lower > 0.0
 
     def test_single_vertex(self):
         est = sampled_conv_dimension(WeightedGraph(1, []), 3)

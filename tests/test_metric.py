@@ -20,6 +20,7 @@ from doubling import (
     load_graph,
     load_metric,
     packing_lower_bound,
+    random_euclidean,
     random_tree,
     save_graph,
     save_metric,
@@ -205,6 +206,17 @@ class TestDoublingEstimate:
             rest = [c for c in centers if c != drop]
             assert any(min(m.d(c, p) for c in rest) > r for p in universe)
 
+    def test_halved_subnormal_radii_round_down(self):
+        """A centre 3 ulp from three points 2 ulp apart: at the event
+        r = 1.5 ulp no ball holds two points, so all four need a ball of
+        their own. Rounded to even, r would be 2 ulp and cover three."""
+        ulp = 5e-324
+        D = np.full((4, 4), 2 * ulp)
+        D[0, :] = D[:, 0] = 3 * ulp
+        np.fill_diagonal(D, 0.0)
+        est = doubling_estimate(FiniteMetric(D))
+        assert est.lambda_upper == 4 and est.upper_witness[1] == ulp
+
     def test_greedy_mode_stays_an_upper_bound(self, oracle_metrics):
         for m in oracle_metrics.values():
             exact = doubling_estimate(m)
@@ -227,6 +239,19 @@ class TestPackingLowerBound:
         assert est.dim_lower == 1.0
         x, r, packed = est.lower_witness
         assert len(packed) == 4 and r == 1.0
+
+    def test_halved_subnormal_separations_round_up(self):
+        """At r = 1 ulp the separation r / 2 underflows to 0 and reads D > 0.
+        A centre 5 ulp from three points 2 ulp apart: at r = 5 ulp the
+        separation 2.5 ulp rounds to 2 ulp and would pack all four, so the
+        best packing is the three points at r = 4 ulp."""
+        ulp = 5e-324
+        pair = packing_lower_bound(FiniteMetric([[0.0, ulp], [ulp, 0.0]]))
+        assert pair.lower_witness[2] == (0, 1)
+        D = np.full((4, 4), 2 * ulp)
+        D[0, :] = D[:, 0] = 5 * ulp
+        np.fill_diagonal(D, 0.0)
+        assert len(packing_lower_bound(FiniteMetric(D)).lower_witness[2]) == 3
 
     def test_lower_never_exceeds_exact_upper(self, oracle_metrics):
         for name, m in oracle_metrics.items():
@@ -321,22 +346,41 @@ class TestFileFormats:
             load_metric(str(worse))
 
 
+@pytest.fixture(scope="module")
+def euclid_300_file(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("preflight") / "euclid300.metric")
+    save_metric(random_euclidean(300, 2, 0), path)
+    return path
+
+
 class TestMemoryPreflight:
     @pytest.mark.parametrize(
         "build",
-        [lambda: lcp_metric(10), lambda tree=random_tree(300, 1): sample_metric(tree, 2)],
-        ids=["lcp_metric(10)", "898-point closure sample"],
+        [
+            lambda _: lcp_metric(10),
+            lambda _, tree=random_tree(300, 1): sample_metric(tree, 2),
+            lambda _: random_euclidean(600, 2, 0),
+            lambda _: shortest_path_metric(random_tree(600, 1)),
+            load_metric,
+        ],
+        ids=[
+            "lcp_metric(10)",
+            "898-point closure sample",
+            "random_euclidean(600)",
+            "600-vertex shortest-path metric",
+            "300-point metric file",
+        ],
     )
-    def test_counted_bytes_bound_the_measured_peak(self, monkeypatch, build):
+    def test_counted_bytes_bound_the_measured_peak(self, monkeypatch, euclid_300_file, build):
         """With one byte less memory than the build's measured peak, the
         preflight refuses it: the bytes it counts are at least that peak."""
         tracemalloc.start()
         try:
-            build()
+            build(euclid_300_file)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         sizes = {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
         with pytest.raises(ConfigError, match="memory"):
-            build()
+            build(euclid_300_file)
