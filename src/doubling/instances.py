@@ -10,15 +10,15 @@ re-measured.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .closure import ConvPoint, conv_geodesic_point, pairwise_window, point_distances
 from .completion import Completion
-from .errors import TooFewLeaves, VertexSetMismatch
-from .metric import REL_TOL, FiniteMetric, WeightedGraph, _refuse_beyond_memory
+from .errors import ConfigError, TooFewLeaves, VertexSetMismatch
+from .metric import REL_TOL, FiniteMetric, WeightedGraph, _physical_memory, _refuse_beyond_memory
 from .net_tree import check_eps
 
 __all__ = [
@@ -38,9 +38,15 @@ FAMILIES = ("exponential-star", "lcp-hypercube", "euclidean-random", "random-tre
 
 
 def exponential_star(n: int) -> WeightedGraph:
-    """Star with center 0 and leaves 1..n; edge to leaf i has length 2**i."""
+    """Star with center 0 and leaves 1..n; edge to leaf i has length 2**i.
+    A leaf length beyond float range is refused before anything is built."""
     if n < 1:
         raise ValueError("need at least one leaf")
+    if n >= sys.float_info.max_exp:
+        raise ValueError(
+            f"exponential-star n = {n}: the edge to leaf {n}, 2**{n}, is beyond float range "
+            f"(at most {sys.float_info.max_exp - 1} leaves)"
+        )
     return WeightedGraph(n + 1, [(0, i, 2.0**i) for i in range(1, n + 1)])
 
 
@@ -65,18 +71,31 @@ def lcp_metric(p: int) -> FiniteMetric:
 
 def random_euclidean(n: int, ambient_dim: int, seed: int) -> FiniteMetric:
     """Uniform points in the unit cube; plain Euclidean distances, a metric
-    by construction, so the triangle check is skipped. A dense matrix larger
-    than the machine's physical memory is refused before anything is built."""
+    by construction, so the triangle check is skipped. A dense matrix or a
+    point array larger than the machine's physical memory is refused before
+    anything is built."""
     if n < 1:
         raise ValueError("need at least one point")
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be positive")
     _refuse_beyond_memory(n, f"euclidean-random n = {n}")
+    need, have = 8 * n * ambient_dim, _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"euclidean-random n = {n} needs {n} x {ambient_dim} point coordinates ({need} bytes), "
+            f"more than this machine's {have} bytes of memory"
+        )
     rng = np.random.default_rng(seed)
     pts = rng.random((n, ambient_dim))
-    if n == 1:
-        return FiniteMetric(np.zeros((1, 1)))
-    return FiniteMetric(squareform(pdist(pts)), validate=False)
+    # squared differences summed one coordinate at a time, in place
+    D = np.zeros((n, n))
+    step = np.empty((n, n))
+    for x in pts.T:
+        np.subtract(x[:, None], x, out=step)
+        np.multiply(step, step, out=step)
+        D += step
+    del step
+    return FiniteMetric(np.sqrt(D, out=D), validate=False)
 
 
 def random_tree(n: int, seed: int) -> WeightedGraph:

@@ -50,12 +50,15 @@ ROW_BLOCK = 256
 SCAN_BLOCK_ELEMENTS = 1 << 20
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _refuse_beyond_memory(n: int, what: str) -> None:
     """Refuse, before anything is built, a dense n x n float64 distance
     matrix whose construction peaks beyond physical memory: its builders
     hold up to about 3.3 such arrays at once, so four are counted."""
-    need = 4 * 8 * n * n
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    need, have = 4 * 8 * n * n, _physical_memory()
     if need > have:
         raise ConfigError(
             f"{what} needs a {n} x {n} distance matrix ({need} bytes with its "
@@ -75,8 +78,8 @@ def _triangle_violation(D: np.ndarray) -> tuple[int, int, str] | None:
         if np.greater(D, via, out=bad).any():
             i, j = np.argwhere(bad)[0]  # bad is symmetric, so i < j
             return int(i), int(j), (
-                f"triangle inequality fails: d({i},{j})={D[i, j]!r} > "
-                f"d({i},{k})+d({k},{j})={D[i, k] + D[k, j]!r}"
+                f"triangle inequality fails: d({i},{j})={float(D[i, j])!r} > "
+                f"d({i},{k})+d({k},{j})={float(D[i, k] + D[k, j])!r}"
             )
     return None
 
@@ -137,50 +140,13 @@ class FiniteMetric:
         return f"FiniteMetric(n={self.n})"
 
 
-def _first_bad_edge(
-    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> tuple[int, str] | None:
-    """The first edge a one-at-a-time scan would reject, with its message;
-    None when every edge is fine.
+class _BadEdge(ValueError):
+    """An edge a one-at-a-time scan would reject; ``index`` is its position
+    in the edge list as given."""
 
-    ``u``/``v`` are vertex ids (fractions truncated, as ``int`` does) and
-    ``w`` lengths. Each edge is checked in turn for a self-loop, an endpoint
-    outside 0..n-1, a repeat of an earlier pair in either orientation and a
-    length that is not positive and finite; the first edge failing any check
-    is reported with the first check it fails.
-    """
-    u, v = np.trunc(u) + 0.0, np.trunc(v) + 0.0  # + 0.0 turns -0.0 into 0.0
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    loop = u == v
-    outside = ~((0 <= lo) & (hi < n))
-    order = np.lexsort((hi, lo))  # stable: each pair's earliest edge first
-    slo, shi = lo[order], hi[order]
-    repeat = np.zeros(u.size, dtype=bool)
-    repeat[order[1:]] = (slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])
-    bad_length = ~((w > 0.0) & np.isfinite(w))
-    bad = loop | outside | repeat | bad_length
-    if not bad.any():
-        return None
-    k = int(np.argmax(bad))
-    a, b = f"{u[k]:.0f}", f"{v[k]:.0f}"
-    if loop[k]:
-        return k, f"self-loop at vertex {a}"
-    if outside[k]:
-        return k, f"edge ({a},{b}) outside vertex range"
-    pair = f"({lo[k]:.0f},{hi[k]:.0f})"
-    if repeat[k]:
-        return k, f"duplicate edge {pair}"
-    return k, f"edge {pair} needs a positive finite length"
-
-
-def _edge_table(edges: np.ndarray | Iterable[tuple[int, int, float]]) -> np.ndarray:
-    """The edges as an (m, 3) float array of (u, v, length) rows."""
-    table = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)
-    if table.size == 0:
-        table = table.reshape(0, 3)
-    if table.ndim != 2 or table.shape[1] != 3:
-        raise ValueError("edges must be (u, v, length) triples")
-    return table
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class WeightedGraph:
@@ -188,7 +154,9 @@ class WeightedGraph:
 
     Edges are stored canonically as three read-only arrays sorted by
     endpoint pair: ``u < v`` (vertex ids) and ``w`` (lengths), so there are
-    no self-loops and at most one edge per pair. ``edges`` is the same data
+    no self-loops and at most one edge per pair. One pass truncates the ids
+    as ``int`` does, sorts the edges and checks them; the first bad edge
+    raises a ``ValueError`` that carries its index. ``edges`` is the same data
     as a tuple of ``(u, v, length)``. The edges go into one symmetric CSR
     matrix, the graph's only adjacency structure. The instance is treated as
     immutable once built; the tuple, the CSR, the edge lookup, the component
@@ -202,16 +170,34 @@ class WeightedGraph:
         """``edges`` is an (m, 3) array or any iterable of (u, v, length)."""
         if n_vertices < 1:
             raise ValueError("a graph needs at least one vertex")
-        table = _edge_table(edges)
+        table = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)
+        if table.size == 0:
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError("edges must be (u, v, length) triples")
         u, v, w = table.T
-        bad = _first_bad_edge(n_vertices, u, v, w)
-        if bad is not None:
-            raise ValueError(bad[1])
-        lo = np.minimum(u, v).astype(np.intp)
-        hi = np.maximum(u, v).astype(np.intp)
-        order = np.lexsort((hi, lo))
+        # vertex ids truncate as ``int`` does; + 0.0 turns -0.0 into 0.0
+        u, v = np.trunc(u) + 0.0, np.trunc(v) + 0.0
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((hi, lo))  # stable: each pair's earliest edge first
+        slo, shi = lo[order], hi[order]
+        repeat = np.zeros(u.size, dtype=bool)
+        repeat[order[1:]] = (slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])
+        loop, outside = u == v, ~((0 <= lo) & (hi < n_vertices))
+        bad = loop | outside | repeat | ~((w > 0.0) & np.isfinite(w))
+        if bad.any():
+            # the first bad edge, with the first check it fails
+            k = int(np.argmax(bad))
+            a, b, pair = f"{u[k]:.0f}", f"{v[k]:.0f}", f"({lo[k]:.0f},{hi[k]:.0f})"
+            if loop[k]:
+                raise _BadEdge(k, f"self-loop at vertex {a}")
+            if outside[k]:
+                raise _BadEdge(k, f"edge ({a},{b}) outside vertex range")
+            if repeat[k]:
+                raise _BadEdge(k, f"duplicate edge {pair}")
+            raise _BadEdge(k, f"edge {pair} needs a positive finite length")
         self.n_vertices = n_vertices
-        self.u, self.v, self.w = lo[order], hi[order], w[order]
+        self.u, self.v, self.w = slo.astype(np.intp), shi.astype(np.intp), w[order]
         for column in (self.u, self.v, self.w):
             column.setflags(write=False)
         self._metric: FiniteMetric | None = None
@@ -250,7 +236,7 @@ class WeightedGraph:
         return [list(zip(cols[a:b], data[a:b])) for a, b in zip(ptr, ptr[1:])]
 
     def degrees(self) -> list[int]:
-        return np.diff(self.csr.indptr).tolist()
+        return np.bincount(np.concatenate([self.u, self.v]), minlength=self.n_vertices).tolist()
 
     @functools.cached_property
     def component_labels(self) -> np.ndarray:
@@ -601,6 +587,8 @@ def load_metric(path: str) -> FiniteMetric:
                 i, j, value = int(parts[1]), int(parts[2]), float(parts[3])
                 if not (0 <= i < j < n):
                     raise ValueError(f"pair ({i},{j}) out of order or range")
+                if line_of[i, j]:
+                    raise ValueError(f"a second distance for pair ({i},{j})")
                 if not (value > 0.0 and math.isfinite(value)):
                     raise ValueError(f"pair ({i},{j}) needs a positive finite distance")
                 D[i, j] = D[j, i] = value
@@ -656,13 +644,13 @@ def _parse_graph_lines(
         fault = exc
     # An edge before the record at fault that a one-at-a-time scan would
     # reject is reported first, at its own line.
-    table = _edge_table(edges)
-    bad = _first_bad_edge(n, *table.T)
-    if bad is not None:
-        raise ValueError(f"{path}:{edge_lines[bad[0]]}: {bad[1]}")
+    try:
+        g = WeightedGraph(n, edges)
+    except _BadEdge as exc:
+        raise ValueError(f"{path}:{edge_lines[exc.index]}: {exc}") from None
     if fault is not None:
         raise ValueError(f"{path}:{at}: {fault}")
-    return WeightedGraph(n, table), extras, at
+    return g, extras, at
 
 
 def load_graph(path: str) -> WeightedGraph:

@@ -189,7 +189,7 @@ def validate_net_tree(t: NetTree, m: FiniteMetric) -> ValidationReport:
             return ValidationReport(
                 False,
                 "parent distance",
-                f"level {i - 1} node {a} is {S[a, b]!r} from parent {b}, over r={r!r}",
+                f"level {i - 1} node {a} is {float(S[a, b])!r} from parent {b}, over r={r!r}",
             )
 
         if not np.isin(above, below).all():
@@ -197,7 +197,9 @@ def validate_net_tree(t: NetTree, m: FiniteMetric) -> ValidationReport:
         close = np.argwhere(np.triu(S[np.ix_(above, above)] < r * (1.0 - REL_TOL), k=1))
         if close.size:
             a, b = above[close[0]]
-            return ValidationReport(False, "packing", f"level {i} labels {a},{b} at {S[a, b]!r} < r={r!r}")
+            return ValidationReport(
+                False, "packing", f"level {i} labels {a},{b} at {float(S[a, b])!r} < r={r!r}"
+            )
         rest = np.setdiff1d(below, above)
         uncovered = np.flatnonzero(S[np.ix_(rest, above)].min(axis=1, initial=np.inf) > r * (1.0 + REL_TOL))
         if uncovered.size:

@@ -101,9 +101,10 @@ class SpannerRecords(NamedTuple):
 
 @dataclass(eq=False)
 class Spanner:
-    """The spanner graph plus its edge records, kept as columns;
-    :attr:`edges` builds the ``SpannerEdge`` records on first read.
-    Spanners compare by identity, as their graphs do.
+    """The spanner graph plus its edge records, kept as columns. Record i
+    is the record of graph edge i, so the records follow the graph's sorted
+    (u < v) rows; :attr:`edges` builds the ``SpannerEdge`` records on first
+    read. Spanners compare by identity, as their graphs do.
 
     ``raw_max_degree`` and ``raw_n_edges`` describe the donated spanner this
     one was pruned from (a donated spanner's own figures); a loaded spanner
@@ -151,7 +152,7 @@ def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[np.nda
         if short.size:
             k = short[0]
             raise AssertionError(
-                f"edge {(int(rows[k]), int(cols[k]))} of scaled length {dist[k]!r} "
+                f"edge {(int(rows[k]), int(cols[k]))} of scaled length {float(dist[k])!r} "
                 f"outside the level-{i} bracket"
             )
         sets.append(np.column_stack((rows[hit], cols[hit])))
@@ -264,8 +265,8 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
     """
     n, eps, M = m.n, raw.eps, m.dist
     g = raw.graph
-    raw_length = np.zeros((n, n))
-    raw_length[g.u, g.v] = g.w
+    raw_row = np.full((n, n), -1, dtype=np.int32)  # -1: no raw edge
+    raw_row[g.u, g.v] = np.arange(g.w.size)
     a, b = np.triu_indices(n, k=1)
     d = M[a, b]
     order = np.lexsort((b, a, d))
@@ -275,14 +276,15 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
 
     D = np.full((n, n), np.inf)
     np.fill_diagonal(D, 0.0)
-    kept = np.zeros((n, n), dtype=bool)
-    waiting: list[tuple[int, int]] = []  # kept edges whose D update waits
+    kept = np.zeros(g.w.size, dtype=bool)  # one flag per raw edge row
+    waiting: list[tuple[int, int, float]] = []  # kept edges whose D update waits
 
     def keep(x: np.ndarray, y: np.ndarray) -> None:
-        fresh = ~kept[x, y]
-        x, y = x[fresh], y[fresh]
-        kept[x, y] = True
-        waiting.extend(zip(x.tolist(), y.tolist()))
+        rows = raw_row[x, y]
+        assert (rows >= 0).all(), "only raw pairs are kept"
+        rows = rows[~kept[rows]]
+        kept[rows] = True
+        waiting.extend(zip(g.u[rows].tolist(), g.v[rows].tolist(), g.w[rows].tolist()))
 
     for lo in range(0, a.size, _GREEDY_BLOCK):
         block = slice(lo, lo + _GREEDY_BLOCK)
@@ -294,7 +296,7 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
         via[np.arange(hits.size), x] = np.inf
         via[np.arange(hits.size), y] = np.inf
         forced = via.min(axis=1, initial=np.inf) > limit[hits] * (1.0 + REL_TOL)
-        lacking = np.flatnonzero(forced & (raw_length[x, y] == 0.0))
+        lacking = np.flatnonzero(forced & (raw_row[x, y] < 0))
         if lacking.size:
             k = lacking[0]
             raise VerificationError(
@@ -305,16 +307,16 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
         for at in np.flatnonzero(~forced).tolist():
             keep(x[start:at], y[start:at])
             start = at + 1
-            for u, v in waiting:
-                _add_edge(D, u, v, raw_length[u, v])
+            for edge in waiting:
+                _add_edge(D, *edge)
             waiting.clear()
             k, xa, yb = int(hits[at]), int(x[at]), int(y[at])
             if not D[xa, yb] > limit[k]:
                 continue
-            if raw_length[xa, yb]:
+            if raw_row[xa, yb] >= 0:
                 keep(x[at : at + 1], y[at : at + 1])
                 continue
-            bound = limit[k] * (1.0 + REL_TOL)
+            bound = float(limit[k] * (1.0 + REL_TOL))
             dist, pred = dijkstra(g.csr, indices=xa, return_predecessors=True, limit=bound)
             if not dist[yb] <= bound:
                 raise VerificationError(
@@ -327,15 +329,10 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
             keep(ends[:, 0], ends[:, 1])
         keep(x[start:], y[start:])
 
-    kx, ky = np.nonzero(kept)
-    if kx.size == g.w.size:
+    if kept.all():
         return raw
-    rec = raw.records
-    raw_key = np.minimum(rec.u, rec.v) * n + np.maximum(rec.u, rec.v)
-    by_key = np.argsort(raw_key, kind="stable")
-    at = by_key[np.searchsorted(raw_key[by_key], kx * n + ky)]
-    records = SpannerRecords(*(column[at] for column in rec))
-    graph = WeightedGraph(n, np.column_stack((kx, ky, raw_length[kx, ky])))
+    records = SpannerRecords(*(column[kept] for column in raw.records))
+    graph = WeightedGraph(n, np.column_stack((g.u[kept], g.v[kept], g.w[kept])))
     max_degree = max(graph.degrees(), default=0)
     return Spanner(graph, records, eps, raw.net_tree, max_degree, raw.max_degree, g.w.size)
 
@@ -359,57 +356,59 @@ def build_spanner(m: FiniteMetric, eps: float) -> Spanner:
 
 
 def save_spanner(s: Spanner, path: str) -> None:
-    """Graph lines plus one ``meta`` sidecar line per directed edge record."""
+    """Graph lines plus one ``meta`` sidecar line per record column row."""
     with open(path, "w", encoding="utf-8") as fh:
         _write_graph(fh, s.graph)
-        for rec in s.edges:
-            donor = "-" if rec.donor is None else str(rec.donor)
-            fh.write(f"meta {rec.u} {rec.v} level={rec.level} kind={rec.kind_v} donor={donor}\n")
+        columns = (s.records.u, s.records.v, s.records.level, s.records.donor)
+        for u, v, level, donor in zip(*(column.tolist() for column in columns)):
+            kind, donor = ("B", "-") if donor < 0 else ("C", donor)
+            fh.write(f"meta {u} {v} level={level} kind={kind} donor={donor}\n")
 
 
 def load_spanner(path: str, eps: float) -> Spanner:
     """Rebuild a spanner record set saved by :func:`save_spanner`; every
     ``ValueError`` reads ``path:line: reason``.
 
-    Each graph edge needs exactly one ``meta`` record, as the donation pass
-    makes them: a second record for a pair is refused at its line, an edge
-    without one at the last line read. The net-tree is not persisted, so the
-    loaded spanner carries None there and no stretch report.
+    Each graph edge needs exactly one ``meta`` record, put on its row: a
+    second record for a pair is refused at its line, an edge without one at
+    the last line read. The net-tree is not persisted, so the loaded spanner
+    carries None there and no stretch report.
     """
     with open(path, "r", encoding="utf-8") as fh:
         graph, extras, last = _parse_graph_lines(path, _data_lines(fh), extra_kinds=("meta",))
-    records: list[SpannerEdge] = []
-    pairs: set[tuple[int, int]] = set()
+    row_of = {pair: row for row, pair in enumerate(zip(graph.u.tolist(), graph.v.tolist()))}
+    rows: list[tuple | None] = [None] * graph.w.size
     for at, parts in extras["meta"]:
         try:
-            rec = _meta_record(graph, parts)
-            if rec.pair in pairs:
-                raise ValueError(f"a second meta record for edge ({rec.u},{rec.v})")
+            row, record = _meta_record(graph.n_vertices, row_of, parts)
+            if rows[row] is not None:
+                raise ValueError(f"a second meta record for edge ({record[0]},{record[1]})")
         except ValueError as exc:
             raise ValueError(f"{path}:{at}: {exc}") from None
-        pairs.add(rec.pair)
-        records.append(rec)
-    if len(records) != graph.u.size:
-        u, v = next(e for e in zip(graph.u.tolist(), graph.v.tolist()) if e not in pairs)
+        rows[row] = record
+    if None in rows:
+        u, v = graph.edges[rows.index(None)][:2]
         raise ValueError(f"{path}:{last}: edge ({u},{v}) has no meta record")
+    u, v, level, donor = zip(*rows) if rows else [()] * 4
     columns = SpannerRecords(
-        np.array([r.u for r in records], dtype=np.intp),
-        np.array([r.v for r in records], dtype=np.intp),
-        np.array([r.length for r in records], dtype=np.float64),
-        # int64, or object for a level beyond it: each reads back as written
-        np.array([r.level for r in records]),
-        np.array([-1 if r.donor is None else r.donor for r in records], dtype=np.intp),
+        np.array(u, dtype=np.intp),
+        np.array(v, dtype=np.intp),
+        graph.w,
+        np.array(level),  # int64, or object for a level beyond it: each reads back as written
+        np.array(donor, dtype=np.intp),
     )
     max_degree = max(graph.degrees(), default=0)
     return Spanner(graph, columns, eps, None, max_degree)
 
 
-def _meta_record(graph: WeightedGraph, parts: list[str]) -> SpannerEdge:
-    """The edge record of one ``meta <u> <v> level=<i> kind=<B|C> donor=<x|->`` line."""
+def _meta_record(n: int, row_of: dict[tuple[int, int], int], parts: list[str]) -> tuple[int, tuple]:
+    """The edge row and the (tail, head, level, donor, -1 for none) record
+    of one ``meta <u> <v> level=<i> kind=<B|C> donor=<x|->`` line."""
     if len(parts) != 5 or not all("=" in item for item in parts[2:]):
         raise ValueError(f"bad meta record {' '.join(parts)!r}")
     u, v = int(parts[0]), int(parts[1])
-    if not graph.has_edge(u, v):
+    row = row_of.get((min(u, v), max(u, v)))
+    if row is None:
         raise ValueError(f"meta ({u},{v}) names no edge of the graph")
     fields = dict(item.split("=", 1) for item in parts[2:])
     if sorted(fields) != ["donor", "kind", "level"]:
@@ -417,12 +416,11 @@ def _meta_record(graph: WeightedGraph, parts: list[str]) -> SpannerEdge:
     level = int(fields["level"])
     if level < 1:
         raise ValueError(f"level={level} is below 1, where the candidate levels start")
-    donor = None if fields["donor"] == "-" else int(fields["donor"])
-    if donor is not None and not 0 <= donor < graph.n_vertices:
+    donor = -1 if fields["donor"] == "-" else int(fields["donor"])
+    if fields["donor"] != "-" and not 0 <= donor < n:
         raise ValueError(f"donor={donor} names no vertex of the graph")
     if donor in (u, v):
         raise ValueError(f"donor={donor} is an endpoint of its own edge")
-    rec = SpannerEdge(u, v, graph.edge_length(u, v), level, donor)
-    if fields["kind"] != rec.kind_v:
+    if fields["kind"] != ("B" if donor < 0 else "C"):
         raise ValueError(f"kind={fields['kind']} disagrees with donor={fields['donor']}")
-    return rec
+    return row, (u, v, level, donor)

@@ -21,7 +21,7 @@ from doubling import (
     save_graph,
     save_metric,
 )
-from doubling import closure, completion, instances, metric
+from doubling import closure, completion, metric
 from doubling.cli import RunConfig, main, run
 from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
@@ -197,7 +197,13 @@ class TestMain:
             ("bad.metric", "metric 2\nd 0 1 abc\n", "could not convert", 2),
             ("loop.graph", "graph 2\ne 0 1 1.0\ne 0 0 1.0\n", "self-loop", 3),
             ("gap.metric", "metric 3\nd 0 1 1.0\nd 1 2 1.0\n", "missing distance", 3),
-            ("bent.metric", "metric 3\nd 0 1 1.0\nd 0 2 5.0\nd 1 2 1.0\n", "triangle", 3),
+            (
+                "bent.metric",
+                "metric 3\nd 0 1 1.0\nd 0 2 5.0\nd 1 2 1.0\n",
+                "triangle inequality fails: d(0,2)=5.0 > d(0,1)+d(1,2)=2.0\n",
+                3,
+            ),
+            ("dup.metric", "metric 2\nd 0 1 1.0\nd 0 1 2.0\n", "a second distance for pair (0,1)\n", 3),
             ("neg.metric", "# two points\nmetric 2\n\nd 0 1 -1.0\n", "positive finite", 4),
             ("head.graph", "\ngraph two\ne 0 1 1.0\n", "header", 2),
             ("twice.graph", "graph 3\ne 0 1 1.0 # first\ne 1 2 1.0\ne 1 0 2.0\n", "duplicate", 4),
@@ -286,10 +292,37 @@ class TestMain:
         assert "memory" in capsys.readouterr().err
 
     def test_gen_euclidean_refuses_a_matrix_beyond_memory(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(instances, "pdist", lambda *a, **k: pytest.fail("allocated"))
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("allocated"))
         argv = ["gen", "--family", "euclidean-random", "--n", "1000000"]
         assert main(argv + ["--output", str(tmp_path / "pts.metric")]) == 2
         assert "memory" in capsys.readouterr().err
+
+    def test_gen_euclidean_refuses_points_beyond_memory(self, tmp_path, monkeypatch, capsys):
+        """10 points in 10**9 dimensions ask for 8 * 10**10 bytes of
+        coordinates; the guard refuses before the points are drawn."""
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("drew points"))
+        out = tmp_path / "pts.metric"
+        argv = ["gen", "--family", "euclidean-random", "--n", "10", "--ambient-dim", "1000000000"]
+        assert main(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "10 x 1000000000" in err
+        assert "memory" in err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "exponential-star", "--n", "1100", "--output"],
+            ["certify-star", "--n", "1100", "--epsilon", "0.25", "--output"],
+        ],
+    )
+    def test_a_star_beyond_float_range_is_refused(self, tmp_path, capsys, argv):
+        """The edge to leaf 1100 would be 2**1100: the generator refuses it
+        before any edge is built, and nothing is written."""
+        out = tmp_path / "star"
+        assert main(argv + [str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exponential-star n = 1100: ") and err.count("\n") == 1
+        assert "float range" in err and not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("length", ["5e-324", "1e-323"])
     def test_dim_on_a_subnormal_edge(self, tmp_path, capsys, length):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,10 +67,33 @@ class TestGenerators:
     def test_euclidean_single_point(self):
         assert random_euclidean(1, 4, seed=0).n == 1
 
+    @pytest.mark.parametrize("ambient_dim", [1, 2, 3, 7, 13])
+    def test_euclidean_matches_scipy(self, ambient_dim):
+        """Squared differences summed one coordinate at a time give scipy's
+        pdist distances bit for bit."""
+        from scipy.spatial.distance import pdist, squareform
+
+        for n, seed in ((2, 0), (57, 1), (300, 2)):
+            pts = np.random.default_rng(seed).random((n, ambient_dim))
+            assert np.array_equal(random_euclidean(n, ambient_dim, seed).dist, squareform(pdist(pts)))
+
+    def test_import_leaves_scipy_spatial_unloaded(self):
+        src = os.path.dirname(os.path.dirname(metric.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, doubling, doubling.cli; print(sorted(m for m in sys.modules if 'spatial' in m))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n"
+
+    def test_star_lengths_stay_in_float_range(self):
+        assert exponential_star(1023).w[-1] == 2.0**1023
+        with pytest.raises(ValueError, match="beyond float range"):
+            exponential_star(1024)
+
     @pytest.mark.parametrize("ambient_dim", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_euclidean_needs_no_triangle_check(self, ambient_dim, seed):
-        """The generator skips the check; pdist distances pass it anyway."""
+        """The generator skips the check; its distances pass it anyway."""
         for n in (2, 17, 200):
             m = random_euclidean(n, ambient_dim, seed)
             assert metric._triangle_violation(m.dist) is None

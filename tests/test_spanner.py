@@ -214,6 +214,21 @@ class TestSerialization:
         assert back.eps == 0.25
         assert back.net_tree is None and back.stretch is None
 
+    def test_records_sit_on_their_edge_rows(self, tmp_path):
+        """Record i is the record of graph edge i, for a built spanner and
+        for one loaded from meta lines in any order."""
+        s = build_spanner(random_euclidean(60, 2, 3), 0.25)
+        rec, g = s.records, s.graph
+        assert s.raw_n_edges > g.w.size  # the pruning dropped edges
+        assert np.array_equal(np.minimum(rec.u, rec.v), g.u) and np.array_equal(np.maximum(rec.u, rec.v), g.v)
+        assert np.array_equal(rec.length, g.w)
+        path = tmp_path / "s.spanner"
+        save_spanner(s, str(path))
+        lines = path.read_text().splitlines()
+        meta = [line for line in lines if line.startswith("meta")]
+        path.write_text("\n".join([line for line in lines if line not in meta] + meta[::-1]) + "\n")
+        assert load_spanner(str(path), 0.25).edges == s.edges
+
     def test_rejects_malformed_meta(self, tmp_path):
         p = tmp_path / "bad.spanner"
         p.write_text("graph 2\ne 0 1 1.0\nmeta 0 1 level=1\n")
