@@ -54,15 +54,16 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _refuse_beyond_memory(n: int, what: str) -> None:
-    """Refuse, before anything is built, a dense n x n float64 distance
-    matrix whose construction peaks beyond physical memory: its builders
-    hold up to about 3.3 such arrays at once, so four are counted."""
-    need, have = 4 * 8 * n * n, _physical_memory()
+def _refuse_beyond_memory(n: int, what: str, matrices: int = 4) -> None:
+    """Refuse, before anything is built, work whose peak of ``matrices``
+    dense n x n float64 arrays exceeds physical memory. The default suits
+    building one distance matrix: its builders hold up to about 3.3 such
+    arrays at once, so four are counted."""
+    need, have = matrices * 8 * n * n, _physical_memory()
     if need > have:
         raise ConfigError(
-            f"{what} needs a {n} x {n} distance matrix ({need} bytes with its "
-            f"temporaries), more than this machine's {have} bytes of memory"
+            f"{what} peaks near {matrices} float64 arrays of {n} x {n} ({need} bytes), "
+            f"more than this machine's {have} bytes of memory"
         )
 
 
@@ -90,11 +91,14 @@ class FiniteMetric:
     Construction checks the zero diagonal, symmetry and positivity, and
     (unless ``validate=False``, for distances that are metrics by
     construction) the triangle inequality within relative tolerance 1e-9.
-    The matrix is frozen after construction.
+    The matrix is frozen after construction. A validated input is copied;
+    with ``validate=False`` a C-contiguous float64 array is taken as it is
+    and frozen in place, so the caller hands over an array it no longer
+    writes.
     """
 
     def __init__(self, dist: np.ndarray | Sequence[Sequence[float]], *, validate: bool = True) -> None:
-        D = np.array(dist, dtype=np.float64)
+        D = (np.array if validate else np.asarray)(dist, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise ValueError("distance matrix must be square")
         n = D.shape[0]
@@ -104,12 +108,12 @@ class FiniteMetric:
             raise ValueError("diagonal must be exactly zero")
         if not np.array_equal(D, D.T):
             raise ValueError("distance matrix must be symmetric")
-        if n > 1:
-            off = D[~np.eye(n, dtype=bool)]
-            if not (off > 0.0).all():
-                raise ValueError("off-diagonal distances must be positive")
-            if not np.isfinite(off).all():
-                raise ValueError("distances must be finite")
+        # the diagonal is zero, so the positive entries are the n(n-1)
+        # off-diagonal ones exactly when each of those is positive
+        if np.count_nonzero(D > 0.0) != n * (n - 1):
+            raise ValueError("off-diagonal distances must be positive")
+        if not D.max() < np.inf:
+            raise ValueError("distances must be finite")
         if validate and (violation := _triangle_violation(D)) is not None:
             raise ValueError(violation[2])
         D = np.ascontiguousarray(D)
@@ -196,9 +200,33 @@ class WeightedGraph:
             if repeat[k]:
                 raise _BadEdge(k, f"duplicate edge {pair}")
             raise _BadEdge(k, f"edge {pair} needs a positive finite length")
+        self._set_rows(n_vertices, slo.astype(np.intp), shi.astype(np.intp), w[order])
+
+    @classmethod
+    def _from_rows(
+        cls, n_vertices: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> "WeightedGraph":
+        """The graph on rows its caller built canonical: intp ``u < v`` in
+        range, strictly ascending by (u, v), float64 ``w`` positive and
+        finite. The columns are taken without a copy and frozen; O(m)
+        checks stand in for the sort and the per-edge masks of the
+        constructor, and a broken row raises ``AssertionError``."""
+        ascending = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+        if not ascending.all():
+            raise AssertionError("graph rows are not strictly ascending by (u, v)")
+        # u ascends, so its first entry is its least
+        if not ((u < v).all() and (u[:1] >= 0).all() and (v < n_vertices).all()):
+            raise AssertionError("graph rows need 0 <= u < v < n_vertices")
+        if not ((w > 0.0).all() and w.max(initial=0.0) < np.inf):
+            raise AssertionError("graph rows need positive finite lengths")
+        g = cls.__new__(cls)
+        g._set_rows(n_vertices, u, v, w)
+        return g
+
+    def _set_rows(self, n_vertices: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         self.n_vertices = n_vertices
-        self.u, self.v, self.w = slo.astype(np.intp), shi.astype(np.intp), w[order]
-        for column in (self.u, self.v, self.w):
+        self.u, self.v, self.w = u, v, w
+        for column in (u, v, w):
             column.setflags(write=False)
         self._metric: FiniteMetric | None = None
 
@@ -602,7 +630,6 @@ def load_metric(path: str) -> FiniteMetric:
                 raise ValueError(violation[2])
         except ValueError as exc:
             raise ValueError(f"{path}:{at}: {exc}") from None
-    del line_of  # FiniteMetric copies D: peak three matrices, not four
     return FiniteMetric(D, validate=False)
 
 

@@ -26,6 +26,7 @@ from .metric import (
     WeightedGraph,
     _data_lines,
     _parse_graph_lines,
+    _refuse_beyond_memory,
     _write_graph,
     shortest_path_metric,
     verify_stretch,
@@ -190,33 +191,60 @@ def donate_edges(
     than once keeps its first record in (head, level, tail) order; every
     record of a pair has the pair's distance as its length, so that is also
     the shortest.
+
+    Working memory, besides ``directed`` itself: about 81 bytes per
+    candidate pair at the peak (the sorted intp columns, one int64 pair key
+    and the sort inside ``np.unique``); each temporary is dropped once used.
     """
     check_eps(eps)
     m0 = donation_threshold(eps)
     tail, head, level = np.asarray(directed, dtype=np.intp).reshape(-1, 3).T
     order = np.lexsort((tail, level, head))
     tail, head, level = tail[order], head[order], level[order]
+    del order
 
     # a group is a run of equal (head, level); its rank counts from the
     # first group of its head, and its lowest tail sits at its start
-    head_start = np.diff(head, prepend=-1) != 0
-    group_start = head_start | (np.diff(level, prepend=-1) != 0)
-    group = np.cumsum(group_start) - 1
-    first = np.maximum.accumulate(np.where(head_start, group, 0))
-    donated = group - first >= m0
-    starts = np.flatnonzero(group_start)
-    target = np.where(donated, tail[starts[np.maximum(group - m0, 0)]], head)
-    donor = np.where(donated, head, -1)
-    length = m.dist[tail, target]
+    head_start = _run_starts(head)
+    group_start = _run_starts(level)
+    group_start |= head_start
+    group = np.cumsum(group_start)
+    group -= 1
+    rank = np.where(head_start, group, 0)
+    del head_start
+    np.maximum.accumulate(rank, out=rank)
+    np.subtract(group, rank, out=rank)
+    moved = np.flatnonzero(rank >= m0)
+    del rank
+    donor = np.full(head.size, -1, dtype=np.intp)
+    donor[moved] = head[moved]
+    target = head  # a moved edge's head becomes its target in place
+    target[moved] = tail[np.flatnonzero(group_start)[group[moved] - m0]]
+    del head, group_start, group, moved
 
-    # the stable sort keeps each pair's first record at the front of its run
+    # the key sorts pairs as graph rows, and np.unique returns the index of
+    # each key's first occurrence, so each pair keeps its first record
+    key = np.minimum(tail, target)
+    key *= m.n
+    key += np.maximum(tail, target)
+    keep = np.unique(key, return_index=True)[1]
+    del key
+    tail, target, level, donor = tail[keep], target[keep], level[keep], donor[keep]
+    del keep
+    length = m.dist[tail, target]
+    records = SpannerRecords(tail, target, length, level, donor)
     lo, hi = np.minimum(tail, target), np.maximum(tail, target)
-    keep = np.lexsort((hi, lo))
-    keep = keep[(np.diff(lo[keep], prepend=-1) != 0) | (np.diff(hi[keep], prepend=-1) != 0)]
-    records = SpannerRecords(tail[keep], target[keep], length[keep], level[keep], donor[keep])
-    graph = WeightedGraph(m.n, np.column_stack((lo[keep], hi[keep], records.length)))
+    graph = WeightedGraph._from_rows(m.n, lo, hi, length)
     max_degree = max(graph.degrees(), default=0)
     return Spanner(graph, records, eps, net_tree, max_degree, max_degree, graph.w.size)
+
+
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """True at index 0 and wherever ``column`` differs from the entry before."""
+    starts = np.empty(column.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(column[1:], column[:-1], out=starts[1:])
+    return starts
 
 
 # Sorted pairs the path greedy tests against its distance matrix at once.
@@ -251,6 +279,12 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
     within its (1+eps) stretch. The records are the raw records of the kept
     edges; if every raw edge is kept, ``raw`` itself is returned.
 
+    Working memory, besides ``m`` and ``raw``: an int32 raw-row table and a
+    float64 D, n x n each; 16 bytes per pair for the visiting order (int32
+    ``a`` and ``b``, float64 limits), up to twice that while it is built;
+    and, once a hit needs Dijkstra, the raw graph's CSR (24 bytes per raw
+    edge, about 90 while it is built).
+
     The same edges as that per-pair loop, with less work:
 
     - pairs are tested ``_GREEDY_BLOCK`` at a time against D as it stood
@@ -267,24 +301,25 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
     g = raw.graph
     raw_row = np.full((n, n), -1, dtype=np.int32)  # -1: no raw edge
     raw_row[g.u, g.v] = np.arange(g.w.size)
-    a, b = np.triu_indices(n, k=1)
-    d = M[a, b]
-    order = np.lexsort((b, a, d))
+    a, b = (index.astype(np.int32) for index in np.triu_indices(n, k=1))
+    # triu pairs come in (a, b) order, so a stable sort by d is (d, a, b) order
+    order = np.argsort(M[a, b], kind="stable")
     a, b = a[order], b[order]
-    limit = (1.0 + eps) * d[order]
-    del d, order
+    limit = M[a, b]
+    limit *= 1.0 + eps
+    del order
 
     D = np.full((n, n), np.inf)
     np.fill_diagonal(D, 0.0)
     kept = np.zeros(g.w.size, dtype=bool)  # one flag per raw edge row
-    waiting: list[tuple[int, int, float]] = []  # kept edges whose D update waits
+    waiting: list[np.ndarray] = []  # raw rows of kept edges whose D update waits
 
     def keep(x: np.ndarray, y: np.ndarray) -> None:
         rows = raw_row[x, y]
         assert (rows >= 0).all(), "only raw pairs are kept"
         rows = rows[~kept[rows]]
         kept[rows] = True
-        waiting.extend(zip(g.u[rows].tolist(), g.v[rows].tolist(), g.w[rows].tolist()))
+        waiting.append(rows)
 
     for lo in range(0, a.size, _GREEDY_BLOCK):
         block = slice(lo, lo + _GREEDY_BLOCK)
@@ -307,9 +342,12 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
         for at in np.flatnonzero(~forced).tolist():
             keep(x[start:at], y[start:at])
             start = at + 1
-            for edge in waiting:
-                _add_edge(D, *edge)
-            waiting.clear()
+            if waiting:
+                pending = np.concatenate(waiting)
+                waiting.clear()
+                columns = (g.u[pending], g.v[pending], g.w[pending])
+                for edge in zip(*(column.tolist() for column in columns)):
+                    _add_edge(D, *edge)
             k, xa, yb = int(hits[at]), int(x[at]), int(y[at])
             if not D[xa, yb] > limit[k]:
                 continue
@@ -332,19 +370,34 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
     if kept.all():
         return raw
     records = SpannerRecords(*(column[kept] for column in raw.records))
-    graph = WeightedGraph(n, np.column_stack((g.u[kept], g.v[kept], g.w[kept])))
+    graph = WeightedGraph._from_rows(n, g.u[kept], g.v[kept], records.length)
     max_degree = max(graph.degrees(), default=0)
     return Spanner(graph, records, eps, raw.net_tree, max_degree, raw.max_degree, g.w.size)
 
 
+# The peak of build_spanner in n x n float64 arrays, its input metric
+# included, with about 10% to spare: tracemalloc read 1 + 11.9, 11.3 and
+# 10.3 on random_euclidean(n, 2, 1) at eps = 1/4 for n = 800, 1600 and
+# 3200, and 1 + 12.6 at eps = 1/32 (n = 800), where the raw spanner holds
+# 99% of all pairs.
+_BUILD_MATRICES = 15
+
+
 def build_spanner(m: FiniteMetric, eps: float) -> Spanner:
     """Net-tree, candidate edges, directions, donation, pruning — then
-    verify stretch."""
+    verify stretch. A build whose peak (``_BUILD_MATRICES`` n x n float64
+    arrays) exceeds physical memory is refused with :class:`ConfigError`
+    before the net-tree."""
     check_eps(eps)
+    _refuse_beyond_memory(m.n, f"a spanner on {m.n} points", _BUILD_MATRICES)
     t = build_net_tree(m, eps)
     edge_sets = build_base_edge_sets(m, t, eps)
     directed = assign_directions(edge_sets, t)
-    spanner = prune_edges(donate_edges(directed, m, eps, net_tree=t), m)
+    del edge_sets
+    raw = donate_edges(directed, m, eps, net_tree=t)
+    del directed
+    spanner = prune_edges(raw, m)
+    del raw
     report = verify_stretch(m, shortest_path_metric(spanner.graph), eps)
     if not report.passed:
         raise VerificationError(

@@ -21,7 +21,7 @@ from doubling import (
     save_graph,
     save_metric,
 )
-from doubling import closure, completion, metric
+from doubling import closure, completion, metric, spanner
 from doubling.cli import RunConfig, main, run
 from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
@@ -290,6 +290,24 @@ class TestMain:
         monkeypatch.setattr(metric, "_require_connected", lambda *a: pytest.fail("checked"))
         assert main(["complete-tree", "--input", str(src), "--epsilon", "0.25"]) == 2
         assert "memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spanner", "certify-lcp"])
+    def test_spanner_build_beyond_memory_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        """With room for eight 8 x 8 matrices the metric loads (it counts
+        four) but the build, which counts fifteen, is refused before its
+        net-tree."""
+        src = str(tmp_path / "lcp3.metric")
+        main(["gen", "--family", "lcp-hypercube", "--p", "3", "--output", src])
+        monkeypatch.setattr(metric, "_physical_memory", lambda: 8 * 8 * 8 * 8)
+        monkeypatch.setattr(spanner, "build_net_tree", lambda *a: pytest.fail("built a net-tree"))
+        argv = {
+            "spanner": ["spanner", "--input", src, "--epsilon", "0.25"],
+            "certify-lcp": ["certify-lcp", "--p", "3"],
+        }
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a spanner on 8 points peaks near 15 float64 arrays of 8 x 8 ")
+        assert "Traceback" not in err
 
     def test_gen_euclidean_refuses_a_matrix_beyond_memory(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("allocated"))

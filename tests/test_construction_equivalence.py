@@ -134,6 +134,31 @@ def test_donation_ignores_the_input_order(seed):
     assert sum(r.donor is not None for r in s.edges) > 2
 
 
+@pytest.mark.parametrize(
+    "m,donates",
+    [(random_euclidean(400, 2, 1), False), (shortest_path_metric(exponential_star(40)), True)],
+    ids=["planar 400", "star 40"],
+)
+def test_donation_columns_at_benchmark_size(m, donates):
+    """At the benchmark's n = 400 (72k candidate rows), and on a star whose
+    hub donates, the records and graph rows equal the dict-based pass, and
+    every column keeps its dtype: intp ids, levels and donors, float64
+    lengths."""
+    t = build_net_tree(m, 0.25)
+    directed = assign_directions(build_base_edge_sets(m, t, 0.25), t)
+    s = donate_edges(directed, m, 0.25, net_tree=t)
+    expected = scalar_donation(as_tuples(directed), m.dist, donation_threshold(0.25))
+    u, v, length, level, donor = (list(column) for column in zip(*expected))
+    donor = [-1 if x is None else x for x in donor]
+    assert (max(donor) >= 0) == donates
+    assert [column.tolist() for column in s.records] == [u, v, length, level, donor]
+    assert [column.dtype for column in s.records] == [np.intp, np.intp, np.float64, np.intp, np.intp]
+    assert s.graph.u.tolist() == np.minimum(u, v).tolist()
+    assert s.graph.v.tolist() == np.maximum(u, v).tolist()
+    assert s.graph.w.tolist() == length
+    assert [s.graph.u.dtype, s.graph.v.dtype, s.graph.w.dtype] == [np.intp, np.intp, np.float64]
+
+
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_geometric_progression_comb(eps):
     donated = assert_matches_oracles(comb(), eps)

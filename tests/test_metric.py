@@ -64,6 +64,44 @@ class TestFiniteMetric:
         with pytest.raises(ValueError):
             FiniteMetric(bad)
 
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([[math.nan, 1.0], [1.0, 0.0]], "diagonal must be exactly zero"),
+            ([[0.0, math.nan], [math.nan, 0.0]], "distance matrix must be symmetric"),
+            ([[0.0, -math.inf], [-math.inf, 0.0]], "off-diagonal distances must be positive"),
+            (
+                [[0.0, math.inf, -1.0], [math.inf, 0.0, 1.0], [-1.0, 1.0, 0.0]],
+                "off-diagonal distances must be positive",
+            ),
+            ([[0.0, math.inf], [math.inf, 0.0]], "distances must be finite"),
+        ],
+    )
+    def test_malformed_matrices_name_the_first_check_they_fail(self, bad, message, validate):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteMetric(bad, validate=validate)
+
+    def test_unvalidated_matrix_is_taken_without_a_copy(self):
+        D = random_euclidean(50, 2, 0).dist.copy()
+        assert np.shares_memory(FiniteMetric(D, validate=False).dist, D)
+        assert not D.flags.writeable
+        E = D.copy()
+        assert not np.shares_memory(FiniteMetric(E).dist, E)
+
+    def test_unvalidated_construction_allocates_no_matrix(self):
+        """Its checks hold one n x n bool mask at a time (1/8 of the
+        float64 input), where a copy and an off-diagonal gather held 2.1
+        float64 matrices."""
+        D = random_euclidean(300, 2, 0).dist.copy()
+        tracemalloc.start()
+        try:
+            FiniteMetric(D, validate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * D.nbytes
+
     def test_rejects_triangle_violation(self):
         D = [[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]
         with pytest.raises(ValueError):
@@ -99,6 +137,48 @@ class TestWeightedGraph:
     def test_rejects_malformed_edges(self, n, edges):
         with pytest.raises(ValueError):
             WeightedGraph(n, edges)
+
+    def test_canonical_rows_are_taken_as_they_are(self):
+        u, v, w = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, 2.0, 3.0])
+        g = WeightedGraph._from_rows(3, u, v, w)
+        assert g.u is u and g.v is v and g.w is w
+        assert not any(column.flags.writeable for column in (u, v, w))
+        want = WeightedGraph(3, [(2, 1, 3.0), (0, 2, 2.0), (1, 0, 1.0)])
+        assert g.edges == want.edges and g.adjacency() == want.adjacency()
+        empty = np.array([], dtype=np.intp)
+        assert WeightedGraph._from_rows(2, empty, empty.copy(), np.array([])).edges == ()
+
+    @pytest.mark.parametrize(
+        "u,v,w,reason",
+        [
+            ([0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0], "not strictly ascending"),
+            ([0, 0], [1, 1], [1.0, 2.0], "not strictly ascending"),
+            ([0, 1], [1, 1], [1.0, 1.0], "0 <= u < v"),
+            ([1], [0], [1.0], "0 <= u < v"),
+            ([-1], [0], [1.0], "0 <= u < v"),
+            ([0], [3], [1.0], "0 <= u < v"),
+            ([0], [1], [0.0], "positive finite"),
+            ([0], [1], [-1.0], "positive finite"),
+            ([0], [1], [math.inf], "positive finite"),
+            ([0], [1], [math.nan], "positive finite"),
+        ],
+        ids=[
+            "unsorted",
+            "duplicate row",
+            "self-loop",
+            "u > v",
+            "below the range",
+            "beyond the range",
+            "zero length",
+            "negative length",
+            "infinite length",
+            "NaN length",
+        ],
+    )
+    def test_rows_out_of_canonical_form_trip_an_assertion(self, u, v, w, reason):
+        u, v, w = np.array(u, dtype=np.intp), np.array(v, dtype=np.intp), np.array(w)
+        with pytest.raises(AssertionError, match=reason):
+            WeightedGraph._from_rows(3, u, v, w)
 
     def test_tree_and_connectivity_predicates(self):
         path = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])

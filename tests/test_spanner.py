@@ -1,18 +1,22 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from doubling import (
+    ConfigError,
     FiniteMetric,
     WeightedGraph,
     build_spanner,
     exponential_star,
+    lcp_metric,
     load_spanner,
     random_euclidean,
     save_spanner,
     shortest_path_metric,
 )
+from doubling import metric, spanner
 from doubling.net_tree import build_net_tree
 from doubling.spanner import (
     assign_directions,
@@ -199,6 +203,55 @@ class TestBuildSpanner:
             (400, 4): 391,
             (400, 5): 397,
         }
+
+
+def traced_peak(build) -> int:
+    """The tracemalloc peak of ``build()``, in bytes."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    def test_planar_build_peak_in_matrices(self):
+        """The n = 400 planar build peaks near 8.7 n x n float64 arrays
+        beyond its input (19.7 when donation held about thirty temporaries
+        the length of the candidate list)."""
+        m = random_euclidean(400, 2, 1)
+        assert traced_peak(lambda: build_spanner(m, 0.25)) < 11 * 8 * m.n**2
+
+    def test_refused_before_the_net_tree(self, monkeypatch):
+        """Fifteen 20 x 20 float64 arrays are counted: one byte less is
+        refused before the net-tree, exactly that much builds."""
+        m = random_euclidean(20, 2, 0)
+        monkeypatch.setattr(metric, "_physical_memory", lambda: 15 * 8 * 20 * 20 - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(spanner, "build_net_tree", lambda *a: pytest.fail("built a net-tree"))
+            refusal = r"^a spanner on 20 points peaks near 15 float64 arrays of 20 x 20 "
+            with pytest.raises(ConfigError, match=refusal):
+                build_spanner(m, 0.25)
+        monkeypatch.setattr(metric, "_physical_memory", lambda: 15 * 8 * 20 * 20)
+        assert build_spanner(m, 0.25).stretch.passed
+
+    @pytest.mark.parametrize(
+        "m,eps",
+        [
+            (random_euclidean(400, 2, 1), 0.25),
+            (random_euclidean(300, 2, 2), 1 / 32),
+            (lcp_metric(8), 2.0**-9),
+        ],
+        ids=["planar 400", "planar 300 at 1/32", "lcp p=8"],
+    )
+    def test_counted_matrices_bound_the_measured_peak(self, monkeypatch, m, eps):
+        """With one byte less memory than the input plus the build's
+        measured peak, the preflight refuses the build."""
+        peak = traced_peak(lambda: build_spanner(m, eps))
+        monkeypatch.setattr(metric, "_physical_memory", lambda: m.dist.nbytes + peak - 1)
+        with pytest.raises(ConfigError, match="memory"):
+            build_spanner(m, eps)
 
 
 class TestSerialization:
