@@ -10,6 +10,7 @@ pipeline failure, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -250,6 +251,7 @@ def _packing_section(cert: instances.PackingCertificate) -> dict[str, object]:
     }
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doubling",

@@ -48,22 +48,26 @@ def greedy_scan(
     q with ``D[p, q] > thresholds[k]``; a row leaves the scan once it is
     empty. Returns the picks as a (rows, steps) id array: row k holds its
     picks in scan order, then -1 padding. A negative or NaN threshold is
-    refused.
+    refused. Only the order of ``D`` and the thresholds matters, so integer
+    ranks can stand in for distances.
 
     With ``beat`` > 0 a row also leaves as soon as its picks so far plus its
     live points cannot exceed ``beat``: rows with more than ``beat`` picks
     are complete scans, the others are cut short at no more than ``beat``.
     """
     live = np.array(live, dtype=bool)  # a copy: the scan clears it in place
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if not (thresholds >= 0.0).all():
+    thresholds = np.asarray(thresholds)
+    if not (thresholds >= 0).all():
         raise ValueError("greedy scan thresholds must be nonnegative")
+    # live counts as byte sums, in the narrowest type that holds a row's count
+    count_type = np.uint16 if live.shape[1] < 1 << 16 else np.intp
     rows = np.arange(live.shape[0])
     t = thresholds[:, None]
     steps: list[tuple[np.ndarray, np.ndarray]] = []
-    while True:
-        keep = np.count_nonzero(live, axis=1) > max(0, beat - len(steps))
-        if not keep.all():
+    while rows.size:
+        counts = np.add.reduce(live.view(np.uint8), axis=1, dtype=count_type)
+        keep = (counts > max(0, beat - len(steps))).nonzero()[0]
+        if keep.size < rows.size:
             rows, live, t = rows[keep], live[keep], t[keep]
             if rows.size == 0:
                 break
@@ -100,6 +104,22 @@ def greedy_packing(D: np.ndarray, ball: np.ndarray, separation: float) -> list[i
     if not separation > 0.0:
         raise ValueError("packing separation must be positive")
     return _greedy_picks(D, ball, np.nextafter(separation, -np.inf))
+
+
+def _covers_within(D: np.ndarray, universe: np.ndarray, r: float, k: int) -> bool:
+    """Whether at most ``k`` balls of radius ``r``, centered anywhere, cover
+    ``universe`` when each next ball is the one covering the most points
+    still uncovered. True proves the minimum cover has at most ``k`` balls;
+    False proves nothing."""
+    ball = D[:, universe] <= r
+    weights = ball.astype(np.float32)  # coverage counts are exact in float32
+    uncovered = np.ones(universe.size, dtype=bool)
+    for _ in range(k):
+        best = int(np.argmax(weights @ uncovered.astype(np.float32)))
+        uncovered &= ~ball[best]
+        if not uncovered.any():
+            return True
+    return not uncovered.any()
 
 
 class _Abort(Exception):

@@ -45,9 +45,13 @@ REL_TOL = 1e-9
 # block: 256 rows of n distances live at a time.
 ROW_BLOCK = 256
 
-# Entries (rows x points) per block of the batched greedy scan in the
-# dimension sweeps: a 1 MiB live mask plus an 8 MiB block of distance rows.
-SCAN_BLOCK_ELEMENTS = 1 << 20
+# Entries (events x points) per block of the batched greedy scan in the
+# dimension sweeps: a 64 KiB live mask plus 128 KiB of int16 rank rows.
+SCAN_BLOCK_ELEMENTS = 1 << 16
+
+# Entries (centers x points) per block of centers whose sweep events are
+# listed at once; each entry takes about 80 bytes of event tables.
+EVENT_BLOCK_ELEMENTS = 1 << 11
 
 
 def _physical_memory() -> int:
@@ -371,38 +375,137 @@ class DimensionEstimate:
         )
 
 
+def _half_down(v: np.ndarray) -> np.ndarray:
+    """v / 2, rounded down where the division rounds up (below the normal
+    range), so that ``D <= h`` reads ``D <= v / 2`` exactly."""
+    h = v / 2.0
+    return np.where(2.0 * h > v, np.nextafter(h, -np.inf), h)
+
+
+def _half_up(v: np.ndarray) -> np.ndarray:
+    """v / 2, rounded up where the division rounds down (below the normal
+    range, down to 0), so that ``D >= h`` reads ``D >= v / 2`` exactly."""
+    h = v / 2.0
+    return np.where(2.0 * h < v, np.nextafter(h, np.inf), h)
+
+
+def _runs(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the first and the last entry of every run of equal values
+    along the rows of ``S``, whose rows are sorted."""
+    first = np.ones(S.shape, dtype=bool)
+    np.not_equal(S[:, 1:], S[:, :-1], out=first[:, 1:])
+    last = np.ones(S.shape, dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    return first, last
+
+
+def _radius_events(S: np.ndarray, halves: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep events of a block of centers, from their sorted distance
+    rows: every distinct positive distance r of a center (with ``halves``,
+    also every half of one), as (center in block, radius r, size of the
+    ball ``D <= r``), flat in (center, ascending r) order."""
+    if halves:
+        # each row's distances and their halves, the distances first on ties;
+        # zero distances stay in the balls but make no radius
+        both = np.concatenate([S, S / 2.0], axis=1)
+        both[np.concatenate([S, S], axis=1) <= 0.0] = -1.0
+        order = np.argsort(both, axis=1, kind="stable")
+        merged = np.take_along_axis(both, order, axis=1)
+        inside = np.cumsum(order < S.shape[1], axis=1)  # distances at or before each entry
+        first, last = _runs(merged)
+        radius = merged >= 0.0
+        return np.nonzero(first & radius)[0], merged[first & radius], inside[last & radius]
+    first, last = _runs(S)
+    positive = S > 0.0
+    return np.nonzero(first & positive)[0], S[first & positive], np.nonzero(last & positive)[1] + 1
+
+
+def _distinct_distances(D: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of the symmetric matrix ``D``, read
+    ``ROW_BLOCK`` rows at a time from the block's first column on, so that
+    at most about one n x n float64 array of values is held at once."""
+    n = D.shape[0]
+    parts = [np.unique(D[lo : lo + ROW_BLOCK, lo:]) for lo in range(0, n, ROW_BLOCK)]
+    values = np.concatenate(parts)
+    del parts
+    values.sort()
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _rank_type(top: int) -> type:
+    """The narrowest signed integer type that holds 0..top."""
+    return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
+
+
 def _beating_events(
     D: np.ndarray,
-    row: np.ndarray,
-    limits: np.ndarray,
-    thresholds: np.ndarray,
+    halves: bool,
+    threshold: Callable[[np.ndarray], np.ndarray],
     best: Callable[[], int],
-) -> Iterator[int]:
-    """Events of one center whose greedy scan picks more than ``best()``.
+) -> Iterator[tuple[int, float, float]]:
+    """Events whose greedy scan picks more than ``best()``, as (center,
+    radius, threshold), in (center, ascending radius) order.
 
-    ``row`` is the center's distance row and event k is the greedy scan over
-    the ball ``row <= limits[k]`` with threshold ``thresholds[k]``; limits
-    ascend, so the balls are nested. Consecutive events are scanned together
-    by :func:`cover.greedy_scan`, in blocks of at most
-    ``SCAN_BLOCK_ELEMENTS`` entries. Events whose ball has at most ``best()``
-    points are never scanned, and scans that can no longer beat ``best()``
-    are cut short. Indices come out in ascending order, each checked against
-    ``best()`` as it stands when the caller asks for the next one.
+    The events are those of :func:`_radius_events`; event (x, r) is the
+    greedy scan over the ball ``D[x] <= r`` with threshold ``threshold(r)``.
+    They are listed ``EVENT_BLOCK_ELEMENTS`` entries of centers at a time
+    and scanned together by :func:`cover.greedy_scan`, across centers, in
+    blocks that start at n events and double up to ``SCAN_BLOCK_ELEMENTS``
+    entries, so that ``best()`` can rise before the blocks grow. A block's
+    events whose ball has at most ``best()`` points are never scanned, and
+    scans that can no longer beat it are cut short. Each event is checked
+    against ``best()`` as it stands when the caller asks for the next one;
+    a scan cut at an older, lower bar cannot beat it.
+
+    The scans compare small integer ranks instead of distances, which reads
+    a quarter to half of the bytes: a point lies in an event's ball iff its
+    place in the center's sorted row is below the ball size, and ``D[p, q]``
+    exceeds a threshold iff its place among the metric's distinct distances
+    comes after every distance at or below the threshold.
     """
-    balls = np.searchsorted(np.sort(row), limits, side="right")
-    rows = max(1, SCAN_BLOCK_ELEMENTS // row.size)
-    hi = 0
-    while True:
-        lo = max(hi, int(np.searchsorted(balls, best(), side="right")))
-        if lo == balls.size:
-            return
-        hi = min(lo + rows, balls.size)
-        live = row[None, :] <= limits[lo:hi, None]
-        picks = cover.greedy_scan(D, live, thresholds[lo:hi], beat=best())
-        sizes = (picks >= 0).sum(axis=1)
-        for k in np.flatnonzero(sizes > best()):
-            if sizes[k] > best():
-                yield lo + int(k)
+    n = D.shape[0]
+    values = _distinct_distances(D)
+    rank = _rank_type(values.size)
+    above = np.empty(D.shape, dtype=rank)
+    for lo in range(0, n, ROW_BLOCK):
+        above[lo : lo + ROW_BLOCK] = np.searchsorted(values, D[lo : lo + ROW_BLOCK])
+    place_type = _rank_type(n)
+    budget = max(1, SCAN_BLOCK_ELEMENTS // n)
+    size = n
+    centers = max(1, EVENT_BLOCK_ELEMENTS // n)
+    for lo in range(0, n, centers):
+        rows = D[lo : lo + centers]
+        order = np.argsort(rows, axis=1, kind="stable")
+        at, radii, balls = _radius_events(np.take_along_axis(rows, order, axis=1), halves)
+        place = np.empty(order.shape, dtype=place_type)
+        np.put_along_axis(place, order, np.arange(n, dtype=place_type)[None, :], axis=1)
+        del order
+        balls = balls.astype(place_type)
+        thresholds = threshold(radii)
+        level = (np.searchsorted(values, thresholds, side="right") - 1).astype(rank)
+        start = 0
+        while start < radii.size:
+            stop = min(start + min(size, budget), radii.size)
+            size *= 2
+            beat = best()
+            scan = start + (balls[start:stop] > beat).nonzero()[0]
+            start = stop
+            if scan.size == 0:
+                continue
+            live = place[at[scan]] < balls[scan, None]
+            picks = cover.greedy_scan(above, live, level[scan], beat=beat)
+            sizes = (picks >= 0).sum(axis=1)
+            for k in (sizes > beat).nonzero()[0]:
+                if sizes[k] > best():
+                    i = scan[k]
+                    yield lo + int(at[i]), float(radii[i]), float(thresholds[i])
+
+
+def _below_half(r: np.ndarray) -> np.ndarray:
+    """The largest float below r / 2 rounded up: ``D > t`` reads ``D >= r / 2``."""
+    return np.nextafter(_half_up(r), -np.inf)
 
 
 def doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> DimensionEstimate:
@@ -416,44 +519,38 @@ def doubling_estimate(m: FiniteMetric, exact_max_n: int = 64) -> DimensionEstima
     at least the minimum cover there, so the same events suffice in both
     modes.
 
-    The events are visited in (center, ascending radius) order. Per center,
-    one batched greedy scan sizes the covers of all its radii at once, in
-    blocks of at most ``SCAN_BLOCK_ELEMENTS`` (radii x points) entries. Only
-    an event whose greedy cover beats the best value so far is looked at
-    further: its cover is rebuilt on its own and, in exact mode
-    (n <= exact_max_n), branch and bound runs on that ball, pruned at the
-    best exact value so far. The first event to reach each new maximum
-    therefore supplies the witness, as in a one-event-at-a-time sweep.
-    Above the cutoff the greedy cover itself is the estimate. Either way
-    ``lambda_upper`` bounds the true constant from above.
+    The events are visited in (center, ascending radius) order. Batched
+    greedy scans across centers size their covers, in blocks of at most
+    ``SCAN_BLOCK_ELEMENTS`` (events x points) entries. Only an event whose
+    greedy cover beats the best value so far is looked at further: its
+    cover is rebuilt on its own and, in exact mode (n <= exact_max_n),
+    branch and bound runs on that ball, pruned at the best exact value so
+    far. The first event to reach each new maximum therefore supplies the
+    witness, as in a one-event-at-a-time sweep. Above the cutoff the greedy
+    cover itself is the estimate. Either way ``lambda_upper`` bounds the
+    true constant from above.
     """
     n, D = m.n, m.dist
     exact = n <= exact_max_n
     mode = "exact-cover" if exact else "greedy-cover"
     best = 0
     witness: tuple[int, float, tuple[int, ...]] | None = None
-    for x in range(n):
-        row = D[x]
-        events = np.unique(row[row > 0.0])
-        # below the normal range d / 2 can round up (and 2r miss d); rounded
-        # down instead, D <= r reads D <= d / 2 exactly
-        radii = events / 2.0
-        radii = np.where(2.0 * radii > events, np.nextafter(radii, -np.inf), radii)
-        for k in _beating_events(D, row, events, radii, lambda: best):
-            r = float(radii[k])
-            universe = np.flatnonzero(row <= events[k])
-            greedy = cover.greedy_ball_cover(D, universe, r)
-            if exact:
-                size, centers, aborted = cover.min_ball_cover(
-                    D, universe, r, greedy, prune_at=best
-                )
-                if aborted:
-                    continue
-                best = size
-                witness = (x, r, tuple(centers))
-            else:
-                best = len(greedy)
-                witness = (x, r, tuple(greedy))
+    for x, limit, r in _beating_events(D, False, _half_down, lambda: best):
+        universe = np.flatnonzero(D[x] <= limit)
+        greedy = cover.greedy_ball_cover(D, universe, r)
+        if exact:
+            # a quick cover within the best so far is what an aborted search
+            # would find: the exact minimum cannot beat the best either
+            if cover._covers_within(D, universe, r, best):
+                continue
+            size, centers, aborted = cover.min_ball_cover(D, universe, r, greedy, prune_at=best)
+            if aborted:
+                continue
+            best = size
+            witness = (x, r, tuple(centers))
+        else:
+            best = len(greedy)
+            witness = (x, r, tuple(greedy))
     if best == 0:  # single point: one ball always suffices
         best, witness = 1, (0, 0.0, (0,))
     return DimensionEstimate(
@@ -483,31 +580,21 @@ def packing_lower_bound(m: FiniteMetric) -> DimensionEstimate:
     where the ball grows; r = d(x, p)/2 probes the same balls against smaller
     separations.
 
-    The events are visited in (center, ascending radius) order. Per center,
-    one batched greedy scan sizes the packings of all its radii at once, in
-    blocks of at most ``SCAN_BLOCK_ELEMENTS`` (radii x points) entries. An
-    event whose packing beats the best so far is packed again on its own,
-    re-verified by direct distance checks and becomes the witness, so the
-    first event to reach each new maximum wins.
+    The events are visited in (center, ascending radius) order. Batched
+    greedy scans across centers size their packings, in blocks of at most
+    ``SCAN_BLOCK_ELEMENTS`` (events x points) entries. An event whose
+    packing beats the best so far is packed again on its own, re-verified
+    by direct distance checks and becomes the witness, so the first event to
+    reach each new maximum wins.
     """
-    n, D = m.n, m.dist
+    D = m.dist
     best = 1
     witness: tuple[int, float, tuple[int, ...]] = (0, 0.0, (0,))
-    for x in range(n):
-        row = D[x]
-        positive = np.unique(row[row > 0.0])
-        radii = np.unique(np.concatenate([positive / 2.0, positive]))
-        # below the normal range r / 2 can round down (to 0 at the bottom);
-        # rounded up instead, D >= half reads D >= r / 2 exactly
-        half = radii / 2.0
-        half = np.where(2.0 * half < radii, np.nextafter(half, np.inf), half)
-        below = np.nextafter(half, -np.inf)
-        for k in _beating_events(D, row, radii, below, lambda: best):
-            r = float(radii[k])
-            packed = cover.greedy_packing(D, np.flatnonzero(row <= r), float(half[k]))
-            _verify_packing(D, x, r, packed)
-            best = len(packed)
-            witness = (x, r, tuple(packed))
+    for x, r, _ in _beating_events(D, True, _below_half, lambda: best):
+        packed = cover.greedy_packing(D, np.flatnonzero(D[x] <= r), float(_half_up(np.float64(r))))
+        _verify_packing(D, x, r, packed)
+        best = len(packed)
+        witness = (x, r, tuple(packed))
     return DimensionEstimate(
         dim_lower=0.5 * math.log2(best),
         lower_witness=witness,

@@ -155,6 +155,23 @@ class TestMain:
         out = str(tmp_path / "x")
         assert main(["gen", "--family", "lcp-hypercube", "--output", out]) == 2
 
+    def test_one_process_parses_command_after_command(self, tmp_path, capsys):
+        """The parser is built once per process: a usage error or another
+        command in between leaves the next parse as a first one would be."""
+        src = str(tmp_path / "tree.graph")
+        assert main(["gen", "--family", "random-tree", "--n", "5", "--seed", "3", "--output", src]) == 0
+        assert main(["dim", "--input", src]) == 0
+        first = capsys.readouterr().out.split("[timings]")[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--input", src, "--samples-per-edge", "many"])
+        assert exc.value.code == 2
+        assert main(["gen", "--family", "lcp-hypercube", "--output", src]) == 2
+        assert main(["audit", "--input", str(tmp_path / "missing.graph")]) == 2
+        capsys.readouterr()
+        assert main(["gen", "--family", "random-tree", "--n", "5", "--seed", "3", "--output", src]) == 0
+        assert main(["dim", "--input", src]) == 0
+        assert capsys.readouterr().out.split("[timings]")[0] == first
+
     def test_spanner_command_writes_artifacts(self, tmp_path, capsys):
         src = str(tmp_path / "m.metric")
         main(["gen", "--family", "lcp-hypercube", "--p", "2", "--output", src])

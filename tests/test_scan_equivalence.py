@@ -1,8 +1,8 @@
 """The greedy scans against their scalar references.
 
-``doubling_estimate`` and ``packing_lower_bound`` size every radius of a
-center with one batched greedy scan; ``oracles`` keeps the one-scan-per-event
-loops. The whole ``DimensionEstimate`` must match, mode and witnesses
+``doubling_estimate`` and ``packing_lower_bound`` size the radii of many
+centers with one batched greedy scan over rank tables; ``oracles`` keeps the
+one-scan-per-event loops. The whole ``DimensionEstimate`` must match, mode and witnesses
 included, in exact and greedy mode and at any scan block size. Nets, covers
 and packings share one single-row scan, which must pick what the scalar
 loops pick over the sorted, repeat-free point set, whatever order and
@@ -131,6 +131,64 @@ def test_greedy_scan_rows_are_independent_scans():
     for k in (0, 2):
         got = cut[k][cut[k] >= 0].tolist()
         assert len(got) <= 3 and got == alone[k][: len(got)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 14))
+def test_center_blocks_match_scalar(family, seed, n):
+    """The sweeps list their events one or a few centers at a time."""
+    m = FAMILIES[family](seed, n)
+    for entries in (1, 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "EVENT_BLOCK_ELEMENTS", entries)
+            assert_matches_scalar(m, exact_max_n=64)
+            assert_matches_scalar(m, exact_max_n=1)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 30), beat=st.integers(0, 6), data=st.data())
+def test_greedy_scan_on_ranks_picks_what_it_picks_on_distances(family, seed, n, beat, data):
+    """The sweeps scan rank tables: ``D[p, q] > t`` read as "D exceeds more
+    of the distinct thresholds than t does"."""
+    m = FAMILIES[family](seed, n)
+    D = m.dist
+    values = np.unique(D).tolist()
+    limits = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=8)))
+    thresholds = np.array([data.draw(st.sampled_from(values)) * f for f in (0.5, 1.0)] * 4)[: limits.size]
+    centers = np.array(data.draw(st.lists(st.integers(0, m.n - 1), min_size=limits.size, max_size=limits.size)))
+    live = D[centers] <= limits[:, None]
+    levels, level = np.unique(thresholds, return_inverse=True)
+    ranks = np.searchsorted(levels, D, side="left").astype(np.int16)
+    got = cover.greedy_scan(ranks, live, level.astype(np.int16), beat=beat)
+    assert np.array_equal(got, cover.greedy_scan(D, live, thresholds, beat=beat))
+
+
+def test_greedy_scan_of_no_rows_is_an_empty_table():
+    """Zero rows used to loop for ever on empty steps."""
+    picks = cover.greedy_scan(TINY, np.zeros((0, 3), dtype=bool), np.zeros(0))
+    assert picks.shape == (0, 0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 24), data=st.data())
+def test_a_quick_cover_within_the_bar_bounds_the_exact_minimum(family, seed, n, data):
+    """``doubling_estimate`` skips the exact search when the max-coverage
+    cover fits in the best so far; that must mean the search would stop early."""
+    m = FAMILIES[family](seed, n)
+    D = m.dist
+    row = D[data.draw(st.integers(0, m.n - 1))]
+    r = data.draw(st.sampled_from((np.unique(row) / 2.0).tolist()))
+    universe = np.flatnonzero(row <= 2.0 * r)
+    greedy = cover.greedy_ball_cover(D, universe, r)
+    exact = scalar_min_ball_cover(D, universe, r, greedy, 0)[0]
+    assert cover._covers_within(D, universe, r, universe.size)
+    for k in range(len(greedy) + 1):
+        if cover._covers_within(D, universe, r, k):
+            assert exact <= k
+            assert cover.min_ball_cover(D, universe, r, greedy, prune_at=k)[2]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
