@@ -78,9 +78,10 @@ class ConvPoint:
         return f"ConvPoint(edge=({u}, {v}), offset={self.offset!r})"
 
 
-# Distances (rows x columns) per row block when a point set is walked in
-# blocks: 512 KiB per array, so a window over thousands of points holds
-# about 1 MiB of temporaries instead of the whole pairwise matrix.
+# Distances (rows x columns, or rows x exit vertices where those are more)
+# per row block when a point set is walked in blocks: 512 KiB per array, so
+# a window over thousands of points holds about 1.5 MiB of temporaries
+# instead of the whole pairwise matrix.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -146,24 +147,30 @@ def _exit_tables(
 
 def _distance_block(D: np.ndarray, p: _ExitTable, q: _ExitTable) -> np.ndarray:
     """Closure distances from every point of ``p`` to every point of ``q``:
-    the cheapest ``cost_p + D[a, b] + cost_q`` over the four exit pairs,
-    or the straight offset difference for two points on one edge. Sums are
-    taken in place, so a block holds two arrays of its size at a time. A
-    sum past the float range is inf, the right value for an exit
-    combination the minimum drops (or for a distance that large)."""
+    the cheapest ``(cost_p + D[a, b]) + cost_q`` over the four exit pairs,
+    or the straight offset difference for two points on one edge.
+
+    First the point-to-exit table ``E[k, v] = min(D[a_k, v] + cost_a,
+    D[b_k, v] + cost_b)`` of the block's points, over the exits ``v`` of
+    ``D``; then each pair is the cheaper of ``E[k, a_q] + cost_qa`` and
+    ``E[k, b_q] + cost_qb``, two gathers per pair instead of four. Rounding
+    is monotone, so adding ``cost_q`` after the minimum gives the same bits
+    as adding it to each term. Sums are taken in place, so a block holds at
+    most three arrays of rows x exits or rows x ``q`` at a time. A sum past
+    the float range is inf, the right value for an exit combination the
+    minimum drops (or for a distance that large)."""
     with np.errstate(over="ignore"):
-        out = D[np.ix_(p.a, q.a)]
-        out += p.cost_a[:, None]
+        E = D[p.a]
+        E += p.cost_a[:, None]
+        via_b = D[p.b]
+        via_b += p.cost_b[:, None]
+        np.minimum(E, via_b, out=E)
+        del via_b
+        out, term = E[:, q.a], E[:, q.b]
+        del E
         out += q.cost_a
-        for pa, pc, qa, qc in (
-            (p.a, p.cost_a, q.b, q.cost_b),
-            (p.b, p.cost_b, q.a, q.cost_a),
-            (p.b, p.cost_b, q.b, q.cost_b),
-        ):
-            term = D[np.ix_(pa, qa)]
-            term += pc[:, None]
-            term += qc
-            np.minimum(out, term, out=out)
+        term += q.cost_b
+        np.minimum(out, term, out=out)
     same = (p.edge[:, None] == q.edge) & (p.edge[:, None] >= 0)
     if same.any():
         np.subtract(p.cost_a[:, None], q.cost_a, out=term)
@@ -182,9 +189,9 @@ def point_distances(
     Q[j])``; it can differ from entry (j, i) of the swapped call in the last
     bit, because the exit costs are added in the other order.
     """
-    _, _, D, (tp, tq) = _exit_tables(g, P, Q)
+    V, _, D, (tp, tq) = _exit_tables(g, P, Q)
     out = np.empty((len(P), len(Q)))
-    rows = max(1, _BLOCK_ENTRIES // max(1, len(Q)))
+    rows = max(1, _BLOCK_ENTRIES // max(1, V.size, len(Q)))
     for lo in range(0, len(P), rows):
         out[lo : lo + rows] = _distance_block(D, tp.rows(lo, lo + rows), tq)
     return out
@@ -194,9 +201,9 @@ def _pair_blocks(g: WeightedGraph, pts: Sequence[ConvPoint]) -> Iterator[tuple[i
     """The pairs i < j of ``pts`` in blocks of at most ``_BLOCK_ENTRIES``
     distances: ``(lo, block)`` with ``block[r, c]`` the distance between
     points ``lo + r`` and ``lo + 1 + c``, and NaN where that is not a pair."""
-    _, _, D, (table,) = _exit_tables(g, pts)
+    V, _, D, (table,) = _exit_tables(g, pts)
     n = len(pts)
-    rows = max(1, _BLOCK_ENTRIES // max(1, n))
+    rows = max(1, _BLOCK_ENTRIES // max(1, V.size, n))
     for lo in range(0, n - 1, rows):
         hi = min(lo + rows, n - 1)
         block = _distance_block(D, table.rows(lo, hi), table.rows(lo + 1, n))
@@ -274,9 +281,11 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
     lexicographically smallest is walked (a same-edge segment visits no
     vertices and therefore wins every tie it enters). The walk runs over
     consecutive stops, p, the route's vertices and q, one edge per step.
-    Distances come from one Dijkstra run per exit vertex of p and q: which
-    exit pairs are tight is read among those exits (:func:`_exit_tables`,
-    exact), and the route to an exit b follows b's own row.
+    Distances come from the Dijkstra rows of the exit vertices of p and q,
+    searched once (for the total) and read again from the graph's kept rows
+    (:func:`distance_rows`): which exit pairs are tight is read among those
+    exits (:func:`_exit_tables`, exact), and the route to an exit b follows
+    b's own row.
     """
     total = conv_distance(g, p, q)
     if not -REL_TOL * total <= s <= total * (1.0 + REL_TOL):

@@ -168,8 +168,8 @@ class WeightedGraph:
     as a tuple of ``(u, v, length)``. The edges go into one symmetric CSR
     matrix, the graph's only adjacency structure. The instance is treated as
     immutable once built; the tuple, the CSR, the edge lookup, the component
-    labels and the shortest-path metric are each built on first use and
-    cached on it.
+    labels, the shortest-path metric and Dijkstra rows (see
+    :func:`distance_rows`) are each built on first use and cached on it.
     """
 
     def __init__(
@@ -233,6 +233,10 @@ class WeightedGraph:
         for column in (u, v, w):
             column.setflags(write=False)
         self._metric: FiniteMetric | None = None
+        # every source's Dijkstra row once the metric is built; before that,
+        # the rows served so far while they fit in one ROW_BLOCK
+        self._all_rows: np.ndarray | None = None
+        self._kept_rows: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -250,15 +254,33 @@ class WeightedGraph:
 
     @functools.cached_property
     def csr(self) -> csr_matrix:
-        """Both directions of every edge, column indices sorted in each row."""
-        n = self.n_vertices
-        rows = np.concatenate([self.u, self.v])
-        cols = np.concatenate([self.v, self.u])
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        data = np.concatenate([self.w, self.w])[order]
-        return csr_matrix((data, cols[order], indptr), shape=(n, n))
+        """Both directions of every edge, column indices sorted in each row.
+
+        Row x lists its smaller neighbours, then its larger ones. Edges are
+        sorted by (u, v), so edge k is number ``k - (edges before u's)`` among
+        u's larger neighbours, and a stable argsort of v lists every vertex's
+        smaller neighbours in ascending order. Each entry is written straight
+        into its slot, in the index type scipy would pick."""
+        n, m = self.n_vertices, self.w.size
+        index = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
+        smaller = np.bincount(self.v, minlength=n)  # neighbours below each vertex
+        larger = np.bincount(self.u, minlength=n)
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(smaller + larger, out=indptr[1:])
+        indices = np.empty(2 * m, dtype=index)
+        data = np.empty(2 * m)
+        # (u, v) goes after every smaller neighbour of the vertices up to u
+        slot = np.cumsum(smaller)[self.u]
+        slot += np.arange(m)
+        indices[slot], data[slot] = self.v, self.w
+        # (v, u) goes after every larger neighbour of the vertices below v
+        del slot
+        order = np.argsort(self.v, kind="stable")
+        slot = np.repeat(np.cumsum(larger) - larger, smaller)
+        slot += np.arange(m)
+        indices[slot] = self.u[order]
+        data[slot] = self.w[order]
+        return csr_matrix((data, indices, indptr), shape=(n, n))
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """Per vertex, ``(neighbour, length)`` by ascending neighbour: the
@@ -303,7 +325,10 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
 
     Raises :class:`DisconnectedGraph` naming one vertex per component when
     the graph is not connected, and :class:`ConfigError` before any search
-    when the matrix would not fit in memory. The result is cached on the graph.
+    when the matrix would not fit in memory. The result is cached on the
+    graph, and so is the unsymmetrised Dijkstra matrix it was made from (one
+    more n x n array, within the four the preflight counts), which then
+    serves every :func:`distance_rows` request on the graph.
     """
     if g._metric is not None:
         return g._metric
@@ -311,29 +336,51 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     _require_connected(g)
     # the CSR already holds both directions of every edge, so the directed
     # search sees the same candidate sums as an undirected one
-    D = dijkstra(g.csr, directed=True)
+    rows = dijkstra(g.csr, directed=True)
+    rows.setflags(write=False)
     # Dijkstra from each source is symmetric up to float rounding; make it exact.
-    D = np.minimum(D, D.T)
+    D = np.minimum(rows, rows.T)
     # shortest-path distances satisfy the triangle inequality by construction
     m = FiniteMetric(D, validate=False)
-    g._metric = m
+    g._metric, g._all_rows, g._kept_rows = m, rows, {}
     return m
 
 
 def distance_rows(g: WeightedGraph, sources: Sequence[int] | np.ndarray) -> np.ndarray:
     """Shortest-path distances from each source to every vertex of a
-    connected graph, one row per source: single-source Dijkstra on the
-    cached CSR, directed (the CSR holds both directions of every edge).
+    connected graph, one read-only row per source: single-source Dijkstra
+    on the cached CSR, directed (the CSR holds both directions of every
+    edge).
 
     The rows are not symmetrised, so entry (k, v) is exactly what Dijkstra
     from ``sources[k]`` finds, which can differ in the last bit from
-    :func:`shortest_path_metric`. Callers that need all n rows read them
-    in blocks of ``ROW_BLOCK`` sources. Raises :class:`DisconnectedGraph`
-    as :func:`shortest_path_metric` does.
+    :func:`shortest_path_metric`. Each source's row is searched once per
+    graph where it can be kept: once the metric is cached every row is read
+    from its Dijkstra matrix; before that, newly searched rows are kept only
+    while the graph holds at most ``ROW_BLOCK`` of them in all, so a caller
+    that streams all n rows (in blocks of ``ROW_BLOCK`` sources) keeps at
+    most one block, while a few repeated sources are searched once. Raises
+    :class:`DisconnectedGraph` as :func:`shortest_path_metric` does.
     """
     _require_connected(g)
-    sources = np.asarray(sources, dtype=np.intp)
-    return dijkstra(g.csr, directed=True, indices=sources).reshape(sources.size, g.n_vertices)
+    sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+    if g._all_rows is not None:
+        out = g._all_rows[sources]
+    else:
+        wanted = sources.tolist()
+        kept = g._kept_rows
+        new = sorted(set(wanted).difference(kept))
+        if new:
+            rows = dijkstra(g.csr, directed=True, indices=new).reshape(len(new), g.n_vertices)
+            rows.setflags(write=False)
+            found = dict(zip(new, rows))
+            if len(kept) + len(new) <= ROW_BLOCK:
+                kept.update(found)
+            else:
+                kept = {**kept, **found}
+        out = np.array([kept[s] for s in wanted]).reshape(sources.size, g.n_vertices)
+    out.setflags(write=False)
+    return out
 
 
 def greedy_net(m: FiniteMetric, r: float, points: Sequence[int] | None = None) -> list[int]:

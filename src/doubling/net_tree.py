@@ -93,7 +93,9 @@ def build_net_tree(m: FiniteMetric, eps: float) -> NetTree:
     each level's labels are the greedy net of the level below at radius
     2**i, and every node's parent is the same label when it survives, else
     the lowest-id covering label. Levels stop at the first singleton. A
-    metric whose rescaled distances overflow float64 is refused with
+    level whose radius is below the closest scaled pair keeps every point
+    with itself as parent, so it is copied without a greedy scan. A metric
+    whose rescaled distances overflow float64 is refused with
     :class:`ConfigError`.
     """
     tau = tau_for(eps)
@@ -113,12 +115,19 @@ def build_net_tree(m: FiniteMetric, eps: float) -> NetTree:
     scaled.setflags(write=False)
     sm = FiniteMetric(scaled, validate=False)
 
+    # the closest scaled pair: the same product as its entry of ``scaled``
+    floor = smallest * scale
     nets = [np.arange(n)]
     parents = []
     i = 0
     while nets[-1].size > 1:
         i += 1
         r = NetTree.radius(i)
+        if r < floor:
+            # every pair is farther apart than r: each point is its own parent
+            parents.append(np.arange(n))
+            nets.append(np.arange(n))
+            continue
         kept = np.asarray(greedy_net(sm, r, points=nets[-1]), dtype=np.intp)
         # Kept labels are more than r apart, so a survivor's only hit is
         # itself; anything else takes the first (lowest-id) kept label in reach.

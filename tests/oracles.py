@@ -31,12 +31,16 @@ The scalar graph is the per-edge ``WeightedGraph`` constructor loop with
 the degree and adjacency loops, and the scalar APSP runs undirected
 Dijkstra on a CSR built from Python lists: the references the array-backed
 graph and its one cached CSR must reproduce exactly, error messages and
-distance bits included.
+distance bits included. The lexsort CSR concatenates both directions of
+every edge and sorts them by (row, column): the reference for the CSR that
+writes each entry straight into its slot.
 
 The scalar construction layers are the net-tree, candidate edges, directions
 and donation as per-node and per-edge Python records: a ``(label, parent)``
 pair per node, a ``seen`` set of pairs, and dicts of in-edges per head and of
-records per pair. The array-based builders must reproduce them exactly.
+records per pair; the scalar net-tree runs the greedy net on every level,
+including those below the closest pair that ``build_net_tree`` copies. The
+array-based builders must reproduce them exactly.
 
 The scalar path greedy is the pruning stage as a plain loop over every pair,
 the whole shortest-path matrix lowered after each kept edge: the reference
@@ -763,6 +767,19 @@ def scalar_apsp(n_vertices: int, edges) -> np.ndarray:
     graph = csr_matrix((data, (rows, cols)), shape=(n_vertices, n_vertices))
     D = dijkstra(graph, directed=False)
     return np.minimum(D, D.T)
+
+
+def lexsort_csr(g: WeightedGraph) -> csr_matrix:
+    """Both directions of every edge as two concatenated columns, sorted by
+    (row, column) with one ``lexsort``, the row pointers from a ``bincount``."""
+    n = g.n_vertices
+    rows = np.concatenate([g.u, g.v])
+    cols = np.concatenate([g.v, g.u])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    data = np.concatenate([g.w, g.w])[order]
+    return csr_matrix((data, cols[order], indptr), shape=(n, n))
 
 
 def scalar_path_greedy(raw: Spanner, m: FiniteMetric) -> list[tuple[int, int]]:

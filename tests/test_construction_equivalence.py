@@ -5,23 +5,33 @@
 ``donate_edges`` groups and merges the in-edges with ``lexsort``; ``oracles``
 keeps the per-node tree, the ``seen``-set candidates and the dict-based
 donation. Every layer must match exactly: nets, parents, istar, every level
-ancestor, edge sets, directed rows, spanner records and graph edges.
+ancestor, edge sets, directed rows, spanner records and graph edges. The
+net-tree copies the levels below its closest pair, so it is also checked at
+the certificates' smallest eps, where most levels are copied.
+
+The closure distances of the certificates go through a point-to-exit table;
+``oracles.scalar_conv_distance`` sums the four exit pairs of each pair, and
+the two must agree on points that share an edge and on exit sums that
+overflow to inf.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doubling import (
     FiniteMetric,
+    WeightedGraph,
     exponential_star,
     lcp_metric,
     level_ancestor_label,
     random_euclidean,
     shortest_path_metric,
 )
-from doubling.net_tree import build_net_tree
+from doubling import closure, net_tree
+from doubling.closure import ConvPoint, point_distances
+from doubling.net_tree import NetTree, build_net_tree, tau_for
 from doubling.spanner import (
     assign_directions,
     build_base_edge_sets,
@@ -31,6 +41,7 @@ from doubling.spanner import (
 )
 from oracles import (
     scalar_base_edge_sets,
+    scalar_conv_distance,
     scalar_directions,
     scalar_donation,
     scalar_istar,
@@ -59,8 +70,8 @@ def as_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(row) for row in rows.tolist()]
 
 
-def assert_matches_oracles(m: FiniteMetric, eps: float) -> int:
-    """Check every layer against its oracle; returns the donated record count."""
+def assert_net_tree_matches(m: FiniteMetric, eps: float) -> tuple[NetTree, list]:
+    """Check the net-tree against its oracle; returns it and the oracle's levels."""
     t = build_net_tree(m, eps)
     scale, levels = scalar_net_tree(m, eps)
     assert t.scale == scale
@@ -73,7 +84,13 @@ def assert_matches_oracles(m: FiniteMetric, eps: float) -> int:
     for v in range(m.n):
         for i in range(t.top_level + 1):
             assert level_ancestor_label(t, v, i) == scalar_level_ancestor(levels, v, i)
+    return t, levels
 
+
+def assert_matches_oracles(m: FiniteMetric, eps: float) -> int:
+    """Check every layer against its oracle; returns the donated record count."""
+    t, levels = assert_net_tree_matches(m, eps)
+    istar_of = scalar_istar(levels)
     sets = build_base_edge_sets(m, t, eps)
     pairs = [as_tuples(level) for level in sets]
     assert pairs == scalar_base_edge_sets(t.scaled_dist, levels, cover_constant(eps))
@@ -197,3 +214,62 @@ def test_candidate_count_is_the_pair_and_row_count(m):
     count = sum(map(len, sets))
     assert count == sum(map(len, pairs))
     assert assign_directions(sets, t).shape == (count, 3)
+
+
+@pytest.mark.parametrize("k", range(2, 18))
+def test_net_tree_of_the_certified_star(k):
+    """The 16-leaf star at every eps of the star certificates, 2^-2 to
+    2^-17: from 7 to 22 levels lie below its closest pair."""
+    assert_net_tree_matches(shortest_path_metric(exponential_star(16)), 2.0**-k)
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_net_tree_of_the_certified_prefix_metric(p):
+    assert_net_tree_matches(lcp_metric(p), 2.0 ** -(p + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(6, 25), eps=eps_st)
+def test_grid_pairs_at_the_floor_merge_on_the_first_searched_level(seed, n, eps):
+    """On an integer grid with a pair at distance 1 the closest scaled pair
+    is exactly 2**tau: levels below tau are copied without a greedy net,
+    and level tau, whose radius ties that pair, is searched and merges it."""
+    m = integer_grid(seed, n, 2)
+    assume(m.min_distance() == 1.0)
+    calls = []
+    greedy = net_tree.greedy_net
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(net_tree, "greedy_net", lambda *a, **k: calls.append(a[1]) or greedy(*a, **k))
+        t, _ = assert_net_tree_matches(m, eps)
+    tau = tau_for(eps)
+    assert t.scale * m.min_distance() == 2.0**tau
+    assert [net.size for net in t.nets[:tau]] == [m.n] * tau
+    assert t.nets[tau].size < m.n
+    assert calls == [2.0**i for i in range(tau, t.top_level + 1)]
+
+
+def assert_point_distances_match(g: WeightedGraph, pts: list[ConvPoint]) -> None:
+    want = np.array([[scalar_conv_distance(g, p, q) for q in pts] for p in pts])
+    for budget in (1, 7, closure._BLOCK_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closure, "_BLOCK_ENTRIES", budget)
+            assert point_distances(g, pts, pts).tobytes() == want.tobytes(), budget
+
+
+def test_point_distances_on_one_edge():
+    """Points on the long edge of a triangle: near pairs go straight along
+    it, far pairs around through vertex 2."""
+    g = WeightedGraph(3, [(0, 1, 10.0), (0, 2, 1.0), (1, 2, 1.0)])
+    pts = [ConvPoint.on_edge(0, 1, x) for x in (0.1, 0.3, 3.3, 5.0, 9.7, 9.9)]
+    pts += [ConvPoint.on_edge(0, 2, 0.7), ConvPoint.at_vertex(2)]
+    assert_point_distances_match(g, pts)
+
+
+def test_point_distances_with_exit_sums_past_the_float_range():
+    """Exits 1e308 apart: some exit sums overflow to inf and the minimum
+    drops them; the distances match the pair loop and raise no warning."""
+    g = WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e307)])
+    assert 0.95e308 + 1e308 == np.inf
+    pts = [ConvPoint.on_edge(0, 1, x) for x in (0.05e308, 0.5e308, 0.95e308)]
+    pts += [ConvPoint.on_edge(1, 2, 0.5e307)] + [ConvPoint.at_vertex(v) for v in range(3)]
+    assert_point_distances_match(g, pts)

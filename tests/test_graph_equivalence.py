@@ -9,6 +9,7 @@ exactly, and so must the spanner records built on first read.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from doubling.spanner import (
     donate_edges,
     donation_threshold,
 )
-from oracles import scalar_apsp, scalar_donation, scalar_weighted_graph
+from oracles import lexsort_csr, scalar_apsp, scalar_donation, scalar_weighted_graph
 
 # lengths whose sums round, so a change in the order of relaxations shows
 LENGTHS = (0.1, 0.2, 0.3, 0.7, 1.0, 1.5, 2.0, 1e-3, 3.3e4)
@@ -188,6 +189,59 @@ def test_apsp_matches_on_built_graphs(build):
     assert_same_apsp(g)
     want = scalar_weighted_graph(g.n_vertices, g.edges)
     assert g.degrees() == want.degrees and g.adjacency() == want.adjacency
+
+
+@st.composite
+def any_graphs(draw):
+    """Any edge set on up to 20 vertices: edgeless, with isolated vertices,
+    disconnected or dense."""
+    n = draw(st.integers(1, 20))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    return n, [(u, v, draw(st.sampled_from(LENGTHS))) for u, v in sorted(chosen)]
+
+
+def assert_same_csr(g: WeightedGraph):
+    want, got = lexsort_csr(g), g.csr
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.shape == want.shape and got.has_sorted_indices
+
+
+@settings(max_examples=150)
+@given(case=any_graphs())
+def test_csr_matches_the_lexsort_construction(case):
+    assert_same_csr(WeightedGraph(*case))
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [(1, []), (5, []), (6, [(1, 4, 2.0)]), (7, [(0, 6, 1.0), (2, 3, 0.5), (3, 5, 0.1)])],
+    ids=["single vertex", "edgeless", "one edge, four isolated", "isolated 1 and 4"],
+)
+def test_csr_of_edgeless_graphs_and_isolated_vertices(n, edges):
+    assert_same_csr(WeightedGraph(n, edges))
+
+
+def test_csr_is_built_without_sorting_copies():
+    """The CSR keeps 24 bytes per edge (two int32 indices, two lengths);
+    writing each entry into its slot peaks below 64 bytes per edge, where
+    two concatenated index columns and a lexsort peaked near 90."""
+    n, m = 700, 80_000
+    rng = np.random.default_rng(5)
+    iu, iv = np.triu_indices(n, k=1)
+    pick = rng.choice(iu.size, size=m, replace=False)
+    g = WeightedGraph(n, np.stack([iu[pick], iv[pick], 1.0 + rng.random(m)], axis=1))
+    tracemalloc.start()
+    try:
+        csr = g.csr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * m
+    assert_same_csr(g)
+    assert csr.nnz == 2 * m
 
 
 def eager_records(directed, m, eps):

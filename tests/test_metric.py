@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from doubling import (
     ConfigError,
@@ -28,7 +29,7 @@ from doubling import (
     verify_stretch,
 )
 from doubling import metric
-from doubling.closure import sample_metric
+from doubling.closure import ConvPoint, long_edge_audit, point_distances, sample_metric
 from oracles import exhaustive_doubling_constant
 
 
@@ -215,6 +216,111 @@ class TestWeightedGraph:
         with pytest.raises(DisconnectedGraph) as err:
             shortest_path_metric(WeightedGraph(3, [(0, 1, 1.0)]))
         assert {err.value.rep_a, err.value.rep_b} == {0, 2}
+
+
+# lengths whose sums round, so a row from another search order would show
+ROW_LENGTHS = (0.1, 0.2, 0.3, 0.7, 1e-3, 3.3e4)
+
+
+@st.composite
+def graphs_and_requests(draw):
+    """A connected graph (a random tree plus extra edges) and a mix of
+    requests on it: row sources with repeats or none, point queries between
+    vertices and edge midpoints, and the all-pairs metric."""
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(st.sampled_from(ROW_LENGTHS)) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []:
+        edges[pair] = draw(st.sampled_from(ROW_LENGTHS))
+    g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+    points = [ConvPoint.at_vertex(v) for v in range(n)]
+    points += [ConvPoint.on_edge(u, v, w / 2.0) for u, v, w in g.edges]
+    sources = st.lists(st.integers(0, n - 1), max_size=6)
+    request = st.one_of(
+        st.tuples(st.just("rows"), sources),
+        st.tuples(st.just("points"), st.lists(st.sampled_from(points), max_size=4)),
+        st.just(("metric", None)),
+    )
+    return g, draw(st.lists(request, max_size=6)), draw(sources)
+
+
+def fresh_rows(g: WeightedGraph, sources) -> np.ndarray:
+    """Dijkstra from ``sources`` on a new copy of the graph, which has
+    searched nothing before."""
+    copy = WeightedGraph(g.n_vertices, g.edges)
+    return dijkstra(copy.csr, directed=True, indices=np.asarray(sources, dtype=np.intp))
+
+
+class TestDistanceRows:
+    @settings(max_examples=100, deadline=None)
+    @given(case=graphs_and_requests())
+    def test_rows_equal_a_fresh_search_after_any_requests(self, case):
+        g, requests, last = case
+        for kind, arg in requests:
+            if kind == "rows":
+                got = distance_rows(g, arg)
+                assert got.shape == (len(arg), g.n_vertices)
+                assert got.tobytes() == fresh_rows(g, arg).tobytes()
+            elif kind == "points":
+                point_distances(g, arg, arg)
+            else:
+                shortest_path_metric(g)
+        everyone = list(range(g.n_vertices))
+        for sources in (last, everyone[::-1] + everyone, []):
+            got = distance_rows(g, sources)
+            assert got.shape == (len(sources), g.n_vertices)
+            assert got.tobytes() == fresh_rows(g, sources).tobytes()
+
+    def test_streaming_audit_keeps_at_most_one_block(self):
+        """An audit reads all 2000 rows of a path in blocks; the graph keeps
+        at most ``ROW_BLOCK`` of them afterwards."""
+        n = 2000
+        g = WeightedGraph(n, [(i, i + 1, 1.0 + 0.1 * (i % 7)) for i in range(n - 1)])
+        g.csr, g.component_labels
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            audit = long_edge_audit(g)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g._all_rows is None and len(g._kept_rows) <= metric.ROW_BLOCK
+        # one block of rows, plus the audit's 2000-entry profile
+        assert held < 8 * n * metric.ROW_BLOCK + (1 << 18)
+        assert audit == long_edge_audit(WeightedGraph(n, g.edges))
+
+    def test_a_cached_metric_adds_one_matrix(self):
+        """Beside the metric the graph keeps one more n x n array, its
+        unsymmetrised Dijkstra matrix, and serves every row from it."""
+        n = 300
+        g = random_tree(n, 1)
+        distance_rows(g, [0, 1])
+        g.csr, g.component_labels
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            shortest_path_metric(g)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * n * n
+        assert 2 * matrix <= held < 2 * matrix + (1 << 16)
+        assert g._kept_rows == {}
+        assert distance_rows(g, range(n)).tobytes() == fresh_rows(g, range(n)).tobytes()
+
+    @pytest.mark.parametrize("metric_first", [False, True])
+    @pytest.mark.parametrize("sources", [[3], [0, 5, 0], list(range(300))])
+    def test_served_rows_are_read_only(self, metric_first, sources):
+        g = random_tree(300, 2)
+        if metric_first:
+            shortest_path_metric(g)
+        for _ in range(2):  # searched, then served again
+            rows = distance_rows(g, sources)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+        for row in g._kept_rows.values():
+            with pytest.raises(ValueError):
+                row[0] = 1.0
 
 
 class TestGreedyNet:
