@@ -87,8 +87,8 @@ _BLOCK_ENTRIES = 1 << 16
 
 class _ExitTable(NamedTuple):
     """Per point: both exits (a vertex exits twice through itself at cost 0)
-    and an edge key, ``u * n + v`` for a point on edge (u, v) and -1 for a
-    vertex, so that points share an edge exactly when their keys match."""
+    and its edge row in ``g`` (-1 for a vertex), so that points share an
+    edge exactly when their rows match."""
 
     a: np.ndarray
     b: np.ndarray
@@ -101,30 +101,49 @@ class _ExitTable(NamedTuple):
 
 
 def _exit_table(g: WeightedGraph, pts: Sequence[ConvPoint]) -> _ExitTable:
-    n = len(pts)
+    """The exit table of ``pts``; the first point that is neither a vertex of
+    ``g`` nor strictly inside one of its edges (u < v) raises
+    :class:`InvalidPoint`. One loop splits the points into columns, then one
+    :meth:`WeightedGraph.edge_rows` call looks up every edge point."""
+    n, nv = len(pts), g.n_vertices
     a = np.empty(n, dtype=np.intp)
     b = np.empty(n, dtype=np.intp)
-    cost_a = np.zeros(n)
-    cost_b = np.zeros(n)
-    edge = np.full(n, -1, dtype=np.int64)
+    cost_a, cost_b = np.zeros(n), np.zeros(n)
+    edge = np.full(n, -1, dtype=np.intp)
+    bad, on_edge = n, []  # the first point found at fault; the edge points before it
     for i, p in enumerate(pts):
+        if p.vertex is not None and 0 <= p.vertex < nv:
+            a[i] = b[i] = p.vertex
+        elif p.vertex is None and p.edge is not None and 0 <= p.edge[0] < p.edge[1] < nv:
+            a[i], b[i] = p.edge
+            cost_a[i] = p.offset
+            on_edge.append(i)
+        else:
+            bad = i
+            break
+    if on_edge:
+        at = np.array(on_edge)
+        rows = g.edge_rows(a[at], b[at])
+        found = rows >= 0
+        edge[at] = rows
+        cost_b[at[found]] = g.w[rows[found]] - cost_a[at[found]]
+        # offset < length exactly when length - offset > 0; NaN fails both
+        wrong = ~(found & (cost_a[at] > 0.0) & (cost_b[at] > 0.0))
+        if wrong.any():
+            bad = min(bad, int(at[np.argmax(wrong)]))
+    if bad < n:
+        p = pts[bad]
         if p.is_vertex:
-            if not 0 <= p.vertex < g.n_vertices:  # type: ignore[operator]
-                raise InvalidPoint(f"vertex {p.vertex} out of range for {g.n_vertices} vertices")
-            a[i] = b[i] = p.vertex  # type: ignore[assignment]
-            continue
+            raise InvalidPoint(f"vertex {p.vertex} out of range for {nv} vertices")
         if p.edge is None:
             raise InvalidPoint("point is neither a vertex nor an edge position")
         u, v = p.edge
-        if not g.has_edge(u, v):
+        if u > v:
+            raise InvalidPoint("edge point endpoints must be given in increasing order")
+        if edge[bad] < 0:
             raise InvalidPoint(f"no edge between {u} and {v}")
-        length = g.edge_length(u, v)
-        if not 0.0 < p.offset < length:
-            raise InvalidPoint(f"offset {p.offset!r} outside the open interval (0, {length!r})")
-        a[i], b[i] = u, v
-        cost_a[i] = p.offset
-        cost_b[i] = length - p.offset
-        edge[i] = u * g.n_vertices + v
+        length = float(g.w[edge[bad]])
+        raise InvalidPoint(f"offset {p.offset!r} outside the open interval (0, {length!r})")
     return _ExitTable(a, b, cost_a, cost_b, edge)
 
 
@@ -313,12 +332,13 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
     if not q.is_vertex:
         stops.append(q)
 
+    # each step runs along the edge (cu, cv) both its stops lie on, between
+    # their offsets from cu
+    steps = list(zip(stops, stops[1:]))
+    ends = [x.edge or y.edge or (min(x.vertex, y.vertex), max(x.vertex, y.vertex)) for x, y in steps]
+    lengths = g.w[g.edge_rows([cu for cu, _ in ends], [cv for _, cv in ends])].tolist()
     remaining = s
-    for x, y in zip(stops, stops[1:]):
-        # one step along the edge (cu, cv) both stops lie on, between their
-        # offsets from cu
-        cu, cv = x.edge or y.edge or (min(x.vertex, y.vertex), max(x.vertex, y.vertex))
-        length = g.edge_length(cu, cv)
+    for (x, y), (cu, cv), length in zip(steps, ends, lengths):
         start, end = (z.offset if z.edge else 0.0 if z.vertex == cu else length for z in (x, y))
         if remaining <= abs(end - start):
             off = start + remaining if end > start else start - remaining
@@ -344,12 +364,11 @@ class AuditResult:
     per_vertex_profile: dict[int, int]
 
 
-def _long_edges(g: WeightedGraph, row: np.ndarray, r: float) -> list[tuple[int, int]]:
-    """Edges with an endpoint within ``r`` of the vertex whose distance row
-    is ``row`` and length above ``r``, in ``g.edges`` order: one mask,
-    independent of the audit's scan."""
-    mask = (np.minimum(row[g.u], row[g.v]) <= r) & (g.w > r)
-    return list(zip(g.u[mask].tolist(), g.v[mask].tolist()))
+def _long_edges(g: WeightedGraph, row: np.ndarray, r: float) -> np.ndarray:
+    """The rows of the edges with an endpoint within ``r`` of the vertex
+    whose distance row is ``row`` and length above ``r``, ascending: one
+    mask, independent of the audit's scan."""
+    return np.flatnonzero((np.minimum(row[g.u], row[g.v]) <= r) & (g.w > r))
 
 
 def long_edge_audit(g: WeightedGraph) -> AuditResult:
@@ -419,7 +438,8 @@ def long_edge_audit(g: WeightedGraph) -> AuditResult:
                 if best_radius == 0.0:
                     best_radius = float(np.min(dmin, where=dmin > 0.0, initial=lengths[0])) / 2.0
 
-    witness_edges = tuple(_long_edges(g, best_row, best_radius))
+    rows = _long_edges(g, best_row, best_radius)
+    witness_edges = tuple(zip(g.u[rows].tolist(), g.v[rows].tolist()))
     if len(witness_edges) != best_count:
         raise AssertionError("audit recount disagrees with the scan")
     return AuditResult(best_count, (best_vertex, best_radius, witness_edges), profile)
@@ -436,16 +456,13 @@ def long_edge_packing_witness(g: WeightedGraph, u: int, r: float) -> list[ConvPo
     if r <= 0.0:
         raise ValueError("radius must be positive")
     row = distance_rows(g, [u])[0]
-    edges = _long_edges(g, row, r)
-    if not edges:
+    rows = _long_edges(g, row, r)
+    if not rows.size:
         raise EmptyLongEdgeSet(f"no long edges at vertex {u}, radius {r!r}")
-    points = []
-    for a, b in edges:
-        da, db = float(row[a]), float(row[b])
-        near_is_a = da < db or (da == db and a < b)
-        length = g.edge_length(a, b)
-        x = r / 2.0 if near_is_a else length - r / 2.0
-        points.append(ConvPoint.on_edge(a, b, x))
+    a, b = g.u[rows], g.v[rows]
+    # a < b, so a tie goes to a
+    x = np.where(row[a] <= row[b], r / 2.0, g.w[rows] - r / 2.0)
+    points = [ConvPoint.on_edge(*point) for point in zip(a.tolist(), b.tolist(), x.tolist())]
 
     radial = point_distances(g, [ConvPoint.at_vertex(u)], points)[0]
     outside = np.flatnonzero(radial > 2.0 * r * (1.0 + REL_TOL))
@@ -468,19 +485,19 @@ def sample_points(g: WeightedGraph, samples_per_edge: int) -> list[ConvPoint]:
 
     On an edge too short for its spacing (a subnormal length) offsets round
     onto 0, onto the length or onto each other; only those strictly inside
-    (0, length) that differ from the offset kept before them are sampled.
+    (0, length) that differ from the offset kept before them are sampled:
+    offsets only rise, so that is the offset just before (0 before the first).
     """
     if samples_per_edge < 0:
         raise ValueError("samples_per_edge must be nonnegative")
+    k = samples_per_edge + 1
+    with np.errstate(over="ignore"):  # an overflowing offset is inf, never kept
+        x = np.arange(k) * g.w[:, None] / k
+    before, x = x[:, :-1], x[:, 1:]
+    row, j = np.nonzero((before < x) & (x < g.w[:, None]))
     pts = [ConvPoint.at_vertex(v) for v in range(g.n_vertices)]
-    for u, v, length in g.edges:
-        last = 0.0
-        for j in range(1, samples_per_edge + 1):
-            x = j * length / (samples_per_edge + 1)
-            if last < x < length:
-                pts.append(ConvPoint.on_edge(u, v, x))
-                last = x
-    return pts
+    columns = (g.u[row].tolist(), g.v[row].tolist(), x[row, j].tolist())
+    return pts + [ConvPoint(edge=(u, v), offset=offset) for u, v, offset in zip(*columns)]
 
 
 def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:

@@ -10,10 +10,11 @@ keeping trees trees, and its closure stays low-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LevelUnderflow
+from .errors import LevelOutOfRange, LevelUnderflow
 from .metric import (
     FiniteMetric,
     StretchReport,
@@ -25,12 +26,13 @@ from .metric import (
     shortest_path_metric,
     verify_stretch,
 )
-from .net_tree import NetTree, build_net_tree, check_eps, istar, level_ancestor_label
+from .net_tree import NetTree, build_net_tree, check_eps
 from .spanner import cover_constant
 
 __all__ = [
     "Completion",
     "CompletionReport",
+    "Lifts",
     "attach_tails",
     "lift_edges",
     "complete_tree",
@@ -40,53 +42,64 @@ __all__ = [
 ]
 
 
+class Lifts(NamedTuple):
+    """Per input edge row ``u < v``: its ``level`` and the output vertices
+    ``a``, ``b`` it was re-attached between (``a == b``: dropped as
+    degenerate, possible only off trees)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    level: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
 @dataclass
 class Completion:
     """Output graph plus the bookkeeping to trace it back to the input.
 
-    ``tail_index`` maps (original vertex, tail position) to an output vertex;
-    position 0 is the vertex itself. ``lifted`` maps each original edge to
-    the (new endpoints, level) it was re-attached at; entries whose endpoints
-    coincide were dropped as degenerate (possible only off trees).
+    ``tail_start`` has ``n_original + 1`` entries: vertex u's tail positions
+    1..k are the output vertices ``tail_start[u]`` .. ``tail_start[u + 1] - 1``,
+    and position 0 is u itself. ``lifts`` holds where each input edge went.
     """
 
     output: WeightedGraph
-    tail_index: dict[tuple[int, int], int]
-    lifted: dict[tuple[int, int], tuple[int, int, int]]
+    tail_start: np.ndarray
+    lifts: Lifts
     scale: float
     n_original: int
     input_is_tree: bool
 
 
-def attach_tails(
-    g: WeightedGraph, t: NetTree
-) -> tuple[WeightedGraph, dict[tuple[int, int], int]]:
+def attach_tails(g: WeightedGraph, t: NetTree) -> tuple[WeightedGraph, np.ndarray]:
     """Hang an exponential path off every vertex, one edge per net level.
 
     Vertex u receives istar(u) tail edges whose scaled lengths double from
     2^1 up; tail vertex ids continue past the originals in (vertex, position)
     order. Edge lengths are emitted in original units, so the path to the
-    j-th tail vertex measures (2^(j+1) - 2) / scale.
+    j-th tail vertex measures (2^(j+1) - 2) / scale. Returns the input with
+    its tails, and ``tail_start`` (see :class:`Completion`).
     """
     if t.n_points != g.n_vertices:
         raise ValueError("net-tree and graph disagree on the vertex count")
-    tail_index: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int, float]] = list(g.edges)
-    next_id = g.n_vertices
-    for u in range(g.n_vertices):
-        tail_index[(u, 0)] = u
-        prev = u
-        for j in range(1, istar(t, u) + 1):
-            tail_index[(u, j)] = next_id
-            edges.append((prev, next_id, 2.0**j / t.scale))
-            prev = next_id
-            next_id += 1
-    return WeightedGraph(next_id, edges), tail_index
+    n = g.n_vertices
+    tail_start = n + np.concatenate([[0], np.cumsum(t.istar)])
+    head = np.arange(n, tail_start[-1])  # every tail vertex, its owner and its position j
+    owner = np.repeat(np.arange(n), t.istar)
+    j = head - tail_start[owner] + 1
+    tail = np.where(j == 1, owner, head - 1)
+    tailed = WeightedGraph._shortest_rows(
+        int(tail_start[-1]),
+        np.concatenate([g.u, tail]),
+        np.concatenate([g.v, head]),
+        np.concatenate([g.w, np.ldexp(1.0, j) / t.scale]),
+    )
+    return tailed, tail_start
 
 
 def lift_edges(
     tailed: WeightedGraph,
-    tail_index: dict[tuple[int, int], int],
+    tail_start: np.ndarray,
     g: WeightedGraph,
     t: NetTree,
     eps: float,
@@ -96,36 +109,45 @@ def lift_edges(
     An edge of scaled length L belongs to the unique level i with
     C * 2^(i-1) < L <= C * 2^i; it is removed and re-created between the
     i-th tail vertices of its endpoints' level-i ancestors, at its original
-    length. Collisions keep the shorter edge; degenerate loops vanish.
+    length. Collisions keep the shorter edge; degenerate loops vanish. The
+    first edge in row order below level 1, or above the top level, raises.
+    Ancestors climb one net level at a time for all vertices at once.
     """
     check_eps(eps)
     C = cover_constant(eps)
-    lifted: dict[tuple[int, int], tuple[int, int, int]] = {}
-    new_lengths: dict[tuple[int, int], float] = {}
-    for u, v, length in g.edges:
-        scaled = length * t.scale
-        if scaled <= C:
-            raise LevelUnderflow(
-                f"edge ({u}, {v}) of scaled length {scaled!r} sits below the first level"
-            )
-        level = 1
-        while scaled > C * NetTree.radius(level):
-            level += 1
-        a = tail_index[(level_ancestor_label(t, u, level), level)]
-        b = tail_index[(level_ancestor_label(t, v, level), level)]
-        lifted[(u, v)] = (a, b, level)
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key not in new_lengths or length < new_lengths[key]:
-            new_lengths[key] = length
+    # C * 2^i for i = 1, 2, ...: C > 4, so the last ones are inf, and so is
+    # a length scaled past the float range; every finite one finds its level
+    with np.errstate(over="ignore"):
+        scaled = g.w * t.scale
+        bounds = np.ldexp(C, np.arange(1, np.finfo(float).maxexp))
+    level = np.searchsorted(bounds, scaled) + 1
+    under = scaled <= C
+    fault = under | (level > t.top_level)
+    if fault.any():
+        k = int(np.argmax(fault))
+        if under[k]:
+            edge = f"edge ({g.u[k]}, {g.v[k]}) of scaled length {float(scaled[k])!r}"
+            raise LevelUnderflow(f"{edge} sits below the first level")
+        raise LevelOutOfRange(f"level {level[k]} outside [0, {t.top_level}]")
 
-    original = {(u, v) for u, v, _ in g.edges}
-    edges = [
-        (u, v, w) for u, v, w in tailed.edges if (u, v) not in original
-    ] + [(a, b, w) for (a, b), w in sorted(new_lengths.items())]
-    output = WeightedGraph(tailed.n_vertices, edges)
-    return Completion(output, tail_index, lifted, t.scale, g.n_vertices, g.is_tree())
+    a, b = np.empty_like(level), np.empty_like(level)
+    node = np.arange(g.n_vertices)  # each vertex's ancestor, as a position in its level
+    for i in range(1, int(level.max(initial=0)) + 1):
+        node = t.parents[i - 1][node]
+        at = np.flatnonzero(level == i)
+        first = tail_start[t.nets[i][node]] + (i - 1)  # each ancestor's i-th tail vertex
+        a[at], b[at] = first[g.u[at]], first[g.v[at]]
+
+    kept = a != b
+    tail = tailed.v >= g.n_vertices  # the input's own edges end below its vertex count
+    output = WeightedGraph._shortest_rows(
+        tailed.n_vertices,
+        np.concatenate([tailed.u[tail], np.minimum(a, b)[kept]]),
+        np.concatenate([tailed.v[tail], np.maximum(a, b)[kept]]),
+        np.concatenate([tailed.w[tail], g.w[kept]]),
+    )
+    lifts = Lifts(g.u, g.v, level, a, b)
+    return Completion(output, tail_start, lifts, t.scale, g.n_vertices, g.is_tree())
 
 
 def complete_tree(g: WeightedGraph, eps: float) -> Completion:
@@ -133,8 +155,8 @@ def complete_tree(g: WeightedGraph, eps: float) -> Completion:
     check_eps(eps)
     m = shortest_path_metric(g)
     t = build_net_tree(m, eps)
-    tailed, tail_index = attach_tails(g, t)
-    return lift_edges(tailed, tail_index, g, t, eps)
+    tailed, tail_start = attach_tails(g, t)
+    return lift_edges(tailed, tail_start, g, t, eps)
 
 
 @dataclass(frozen=True)
@@ -166,19 +188,25 @@ def verify_completion(g: WeightedGraph, c: Completion, eps: float) -> Completion
 
 def save_completion(c: Completion, path: str) -> None:
     """Graph lines plus ``scale``, ``meta``, ``tail`` and ``lift`` records."""
+    starts = c.tail_start.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         _write_graph(fh, c.output)
         fh.write(f"scale {c.scale!r}\n")
         fh.write(f"meta {c.n_original} {int(c.input_is_tree)}\n")
-        for (u, j), new in sorted(c.tail_index.items()):
-            fh.write(f"tail {u} {j} {new}\n")
-        for (u, v), (a, b, level) in sorted(c.lifted.items()):
+        for u in range(c.n_original):
+            fh.write(f"tail {u} 0 {u}\n")
+            for j, new in enumerate(range(starts[u], starts[u + 1]), start=1):
+                fh.write(f"tail {u} {j} {new}\n")
+        for u, v, level, a, b in zip(*(column.tolist() for column in c.lifts)):
             fh.write(f"lift {u} {v} {level} {a} {b}\n")
 
 
 def load_completion(path: str) -> Completion:
     """Read a file written by :func:`save_completion`; every ``ValueError``,
-    also one for a record :func:`complete_tree` never writes, reads ``path:line: reason``."""
+    also one for a record :func:`complete_tree` never writes, reads ``path:line: reason``.
+
+    Tails must take the layout :func:`complete_tree` writes; a record that
+    breaks it is named in (vertex, position) order."""
     with open(path, "r", encoding="utf-8") as fh:
         graph, extras, last = _parse_graph_lines(
             path, _data_lines(fh), extra_kinds=("scale", "meta", "tail", "lift")
@@ -186,8 +214,8 @@ def load_completion(path: str) -> Completion:
     n = graph.n_vertices
     at = last
     rows: dict[str, list[tuple[int, list]]] = {}
-    tail_index: dict[tuple[int, int], int] = {}
-    lifted: dict[tuple[int, int], tuple[int, int, int]] = {}
+    tails: dict[tuple[int, int], tuple[int, int]] = {}  # (u, j) -> (line, new vertex)
+    lifts: dict[tuple[int, int], tuple[int, int, int]] = {}
     try:
         for kind in ("scale", "meta"):
             if len(extras[kind]) != 1:
@@ -209,19 +237,41 @@ def load_completion(path: str) -> Completion:
         for at, (u, j, new) in rows["tail"]:
             if u not in inputs or new not in vertices:
                 raise ValueError(f"tail ({u},{j}) names an id outside the inputs or the graph")
-            if (u, j) in tail_index:
+            if (u, j) in tails:
                 raise ValueError(f"a second tail record for ({u},{j})")
             if j < 0 or (j == 0 and new != u) or (j > 0 and new in inputs):
                 raise ValueError(f"tail ({u},{j}) -> {new}: position 0 is u, others new vertices")
-            tail_index[(u, j)] = new
+            tails[(u, j)] = (at, new)
         for at, (u, v, level, a, b) in rows["lift"]:
             if not (u in inputs and v in inputs and a in vertices and b in vertices):
                 raise ValueError(f"lift ({u},{v}) names an id outside the inputs or the graph")
-            if (u, v) in lifted:
+            if (u, v) in lifts:
                 raise ValueError(f"a second lift record for ({u},{v})")
             if level < 1 or u >= v:
                 raise ValueError(f"lift ({u},{v}) at level {level}: wants u < v and a level >= 1")
-            lifted[(u, v)] = (a, b, level)
+            lifts[(u, v)] = (level, a, b)
+        # in (u, j) order: positions 0, 1, ... of every input, the new
+        # vertices numbered on from n_original up to the graph's last
+        tail_start, prev, next_new = [], (-1, 0), n_original
+        for (u, j), (at, new) in sorted(tails.items()):
+            want = (u, prev[1] + 1) if u == prev[0] else (prev[0] + 1, 0)
+            if (u, j) != want:
+                raise ValueError(f"no tail record for ({want[0]},{want[1]}) before tail ({u},{j})")
+            if j > 0 and new != next_new:
+                raise ValueError(f"tail ({u},{j}) -> {new}: the tail vertices run on from {next_new}")
+            if j == 0:
+                tail_start.append(next_new)
+            next_new, prev = next_new + (j > 0), (u, j)
+        at = last
+        if prev[0] + 1 < n_original:
+            raise ValueError(f"no tail record for ({prev[0] + 1},0)")
+        if next_new < n:
+            raise ValueError(f"vertices {next_new}..{n - 1} lie past the last tail")
     except ValueError as exc:
         raise ValueError(f"{path}:{at}: {exc}") from None
-    return Completion(graph, tail_index, lifted, scale, n_original, bool(tree_flag))
+    columns = zip(*sorted((u, v, *rest) for (u, v), rest in lifts.items()))
+    # int64 columns, with object levels beyond it: each reads back as written
+    empty = np.empty(0, dtype=np.intp)
+    lifted = Lifts(*(np.array(c) for c in columns)) if lifts else Lifts(*[empty] * 5)
+    tail_start = np.array(tail_start + [next_new])
+    return Completion(graph, tail_start, lifted, scale, n_original, bool(tree_flag))

@@ -164,10 +164,11 @@ class WeightedGraph:
     endpoint pair: ``u < v`` (vertex ids) and ``w`` (lengths), so there are
     no self-loops and at most one edge per pair. One pass truncates the ids
     as ``int`` does, sorts the edges and checks them; the first bad edge
-    raises a ``ValueError`` that carries its index. ``edges`` is the same data
-    as a tuple of ``(u, v, length)``. The edges go into one symmetric CSR
-    matrix, the graph's only adjacency structure. The instance is treated as
-    immutable once built; the tuple, the CSR, the edge lookup, the component
+    raises a ``ValueError`` that carries its index. An edge is named by its
+    row in these arrays (:meth:`edge_rows`). ``edges`` is the same data as a
+    tuple of ``(u, v, length)``. The edges go into one symmetric CSR matrix,
+    the graph's only neighbour structure. The instance is treated as
+    immutable once built; the tuple, the CSR, the edge keys, the component
     labels, the shortest-path metric and Dijkstra rows (see
     :func:`distance_rows`) are each built on first use and cached on it.
     """
@@ -227,6 +228,17 @@ class WeightedGraph:
         g._set_rows(n_vertices, u, v, w)
         return g
 
+    @classmethod
+    def _shortest_rows(
+        cls, n_vertices: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> "WeightedGraph":
+        """:meth:`_from_rows` on intp rows ``u < v`` in any order, keeping
+        each pair's shortest row."""
+        key = u * n_vertices + v
+        order = np.lexsort((w, key))
+        order = order[np.unique(key[order], return_index=True)[1]]
+        return cls._from_rows(n_vertices, u[order], v[order], w[order])
+
     def _set_rows(self, n_vertices: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         self.n_vertices = n_vertices
         self.u, self.v, self.w = u, v, w
@@ -243,14 +255,29 @@ class WeightedGraph:
         return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @functools.cached_property
-    def _length(self) -> dict[tuple[int, int], float]:
-        return dict(zip(zip(self.u.tolist(), self.v.tolist()), self.w.tolist()))
+    def _edge_keys(self) -> np.ndarray:
+        """``u * n + v`` per row, read-only; it ascends, as the rows do."""
+        keys = self.u * self.n_vertices + self.v
+        keys.setflags(write=False)
+        return keys
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._length
+    def edge_rows(self, u: int | np.ndarray, v: int | np.ndarray) -> int | np.ndarray:
+        """The row of edge {u, v}, or -1 where the graph has no such edge.
 
-    def edge_length(self, u: int, v: int) -> float:
-        return self._length[(min(u, v), max(u, v))]
+        ``u`` and ``v`` are vertex ids or arrays of them, broadcast together,
+        each pair in either orientation; ids outside the graph find no edge.
+        Two scalars give an ``int``. One ``searchsorted`` over the key column."""
+        scalar = np.ndim(u) == np.ndim(v) == 0
+        # at least 1-d, so that a key past the id range wraps without a warning
+        u, v = (np.atleast_1d(np.asarray(x, dtype=np.intp)) for x in (u, v))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = lo * self.n_vertices + hi
+        keys = self._edge_keys
+        at = np.searchsorted(keys, key)
+        inside = (lo >= 0) & (hi < self.n_vertices)
+        found = inside & (keys.take(at, mode="clip") == key) if keys.size else False
+        rows = np.where(found, at, -1)
+        return int(rows[0]) if scalar else rows
 
     @functools.cached_property
     def csr(self) -> csr_matrix:
@@ -281,13 +308,6 @@ class WeightedGraph:
         indices[slot] = self.u[order]
         data[slot] = self.w[order]
         return csr_matrix((data, indices, indptr), shape=(n, n))
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per vertex, ``(neighbour, length)`` by ascending neighbour: the
-        rows of :attr:`csr` as lists."""
-        ptr = self.csr.indptr.tolist()
-        cols, data = self.csr.indices.tolist(), self.csr.data.tolist()
-        return [list(zip(cols[a:b], data[a:b])) for a, b in zip(ptr, ptr[1:])]
 
     def degrees(self) -> list[int]:
         return np.bincount(np.concatenate([self.u, self.v]), minlength=self.n_vertices).tolist()
@@ -776,7 +796,7 @@ def save_graph(g: WeightedGraph, path: str) -> None:
 def _write_graph(fh: TextIO, g: WeightedGraph) -> None:
     """The ``graph``/``e`` lines of every file that holds a graph."""
     fh.write(f"graph {g.n_vertices}\n")
-    for u, v, w in g.edges:
+    for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         fh.write(f"e {u} {v} {w!r}\n")
 
 

@@ -195,6 +195,8 @@ def donate_edges(
     Working memory, besides ``directed`` itself: about 81 bytes per
     candidate pair at the peak (the sorted intp columns, one int64 pair key
     and the sort inside ``np.unique``); each temporary is dropped once used.
+    The spanner keeps 48 bytes per edge: its graph's rows, intp ids and
+    float64 lengths in the records, int32 levels and donors.
     """
     check_eps(eps)
     m0 = donation_threshold(eps)
@@ -216,7 +218,7 @@ def donate_edges(
     np.subtract(group, rank, out=rank)
     moved = np.flatnonzero(rank >= m0)
     del rank
-    donor = np.full(head.size, -1, dtype=np.intp)
+    donor = np.full(head.size, -1, dtype=np.int32)
     donor[moved] = head[moved]
     target = head  # a moved edge's head becomes its target in place
     target[moved] = tail[np.flatnonzero(group_start)[group[moved] - m0]]
@@ -229,7 +231,8 @@ def donate_edges(
     key += np.maximum(tail, target)
     keep = np.unique(key, return_index=True)[1]
     del key
-    tail, target, level, donor = tail[keep], target[keep], level[keep], donor[keep]
+    tail, target, donor = tail[keep], target[keep], donor[keep]
+    level = level[keep].astype(np.int32)
     del keep
     length = m.dist[tail, target]
     records = SpannerRecords(tail, target, length, level, donor)
@@ -429,18 +432,22 @@ def load_spanner(path: str, eps: float) -> Spanner:
     """
     with open(path, "r", encoding="utf-8") as fh:
         graph, extras, last = _parse_graph_lines(path, _data_lines(fh), extra_kinds=("meta",))
-    row_of = {pair: row for row, pair in enumerate(zip(graph.u.tolist(), graph.v.tolist()))}
     rows: list[tuple | None] = [None] * graph.w.size
-    for at, parts in extras["meta"]:
+    # every record's edge row in one lookup; a record whose ids do not
+    # parse, or lie outside the graph, finds none and fails at its own line
+    ends = [_meta_ids(parts, graph.n_vertices) for _, parts in extras["meta"]]
+    found = graph.edge_rows(*np.array(ends, dtype=np.intp).reshape(-1, 2).T).tolist()
+    for (at, parts), row in zip(extras["meta"], found):
         try:
-            row, record = _meta_record(graph.n_vertices, row_of, parts)
+            record = _meta_record(graph.n_vertices, row, parts)
             if rows[row] is not None:
                 raise ValueError(f"a second meta record for edge ({record[0]},{record[1]})")
         except ValueError as exc:
             raise ValueError(f"{path}:{at}: {exc}") from None
         rows[row] = record
     if None in rows:
-        u, v = graph.edges[rows.index(None)][:2]
+        row = rows.index(None)
+        u, v = graph.u[row], graph.v[row]
         raise ValueError(f"{path}:{last}: edge ({u},{v}) has no meta record")
     u, v, level, donor = zip(*rows) if rows else [()] * 4
     columns = SpannerRecords(
@@ -454,14 +461,22 @@ def load_spanner(path: str, eps: float) -> Spanner:
     return Spanner(graph, columns, eps, None, max_degree)
 
 
-def _meta_record(n: int, row_of: dict[tuple[int, int], int], parts: list[str]) -> tuple[int, tuple]:
-    """The edge row and the (tail, head, level, donor, -1 for none) record
-    of one ``meta <u> <v> level=<i> kind=<B|C> donor=<x|->`` line."""
+def _meta_ids(parts: list[str], n: int) -> tuple[int, int]:
+    """A ``meta`` line's (u, v) when both are ids of the n-vertex graph, else (0, 0)."""
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except (ValueError, IndexError):
+        return 0, 0
+    return (u, v) if 0 <= u < n and 0 <= v < n else (0, 0)
+
+
+def _meta_record(n: int, row: int, parts: list[str]) -> tuple:
+    """The (tail, head, level, donor, -1 for none) record of one ``meta <u>
+    <v> level=<i> kind=<B|C> donor=<x|->`` line on edge ``row`` (-1: none)."""
     if len(parts) != 5 or not all("=" in item for item in parts[2:]):
         raise ValueError(f"bad meta record {' '.join(parts)!r}")
     u, v = int(parts[0]), int(parts[1])
-    row = row_of.get((min(u, v), max(u, v)))
-    if row is None:
+    if row < 0:
         raise ValueError(f"meta ({u},{v}) names no edge of the graph")
     fields = dict(item.split("=", 1) for item in parts[2:])
     if sorted(fields) != ["donor", "kind", "level"]:
@@ -476,4 +491,4 @@ def _meta_record(n: int, row_of: dict[tuple[int, int], int], parts: list[str]) -
         raise ValueError(f"donor={donor} is an endpoint of its own edge")
     if fields["kind"] != ("B" if donor < 0 else "C"):
         raise ValueError(f"kind={fields['kind']} disagrees with donor={fields['donor']}")
-    return row, (u, v, level, donor)
+    return u, v, level, donor

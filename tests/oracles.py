@@ -25,7 +25,14 @@ symmetrised all-pairs column of its target: the reference for the
 stop-by-stop walk of ``closure.conv_geodesic_point``, which reads only the
 Dijkstra rows of the exit vertices.
 The scalar crossing check walks the half x half grid of prefix strings
-through ``has_edge``, the reference for the one-mask ``lcp_crossing_check``.
+through the scalar graph's length dict, the reference for the one-mask
+``lcp_crossing_check``. These closure oracles read edges and neighbours
+only from the scalar graph (``scalar_graph``), never from the graph's own
+row lookup.
+
+The scalar sample is the per-edge, per-offset loop that keeps an offset
+above the one kept before it and below the length: the reference for the
+one-pass offsets of ``closure.sample_points``.
 
 The scalar graph is the per-edge ``WeightedGraph`` constructor loop with
 the degree and adjacency loops, and the scalar APSP runs undirected
@@ -49,12 +56,18 @@ whose kept edges the blocked, lazily updated ``prune_edges`` must match.
 The dense completion stretch restricts the completed graph's all-pairs
 matrix to the input vertices: the reference for ``verify_completion``,
 which reads only the input vertices' Dijkstra rows.
+
+The scalar completion hangs the tails and lifts the edges one vertex and
+one edge at a time, through dicts keyed by (vertex, position) and by edge:
+the reference for the offset tails and the lift columns of
+``complete_tree``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,6 +78,7 @@ from doubling import (
     REL_TOL,
     DimensionEstimate,
     FiniteMetric,
+    LevelUnderflow,
     StretchReport,
     VerificationError,
     WeightedGraph,
@@ -75,8 +89,8 @@ from doubling.closure import AuditResult, ConvPoint, conv_distance
 from doubling.completion import Completion
 from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
-from doubling.net_tree import tau_for
-from doubling.spanner import Spanner
+from doubling.net_tree import NetTree, build_net_tree, istar, level_ancestor_label, tau_for
+from doubling.spanner import Spanner, cover_constant
 
 
 def brute_audit_max(g: WeightedGraph) -> int:
@@ -428,7 +442,7 @@ def _scalar_exits(g: WeightedGraph, p: ConvPoint) -> list[tuple[int, float]]:
     if p.is_vertex:
         return [(p.vertex, 0.0)]  # type: ignore[list-item]
     u, v = p.edge  # type: ignore[misc]
-    return [(u, p.offset), (v, g.edge_length(u, v) - p.offset)]
+    return [(u, p.offset), (v, scalar_graph(g).lengths[(u, v)] - p.offset)]
 
 
 def scalar_conv_distance(g: WeightedGraph, p: ConvPoint, q: ConvPoint) -> float:
@@ -453,7 +467,7 @@ def dense_lex_min_path(g: WeightedGraph, D: np.ndarray, a: int, b: int) -> tuple
     every tightness test ``cost + D[w, b]`` against ``D[x, b]`` read from the
     symmetrised all-pairs column of b; the same depth-first walk as
     ``closure._lex_min_path``, which reads b's own Dijkstra row instead."""
-    adjacency = g.adjacency()
+    adjacency = scalar_graph(g).adjacency
     path = [a]
     choices = [iter(adjacency[a])]
     on_path = {a}
@@ -487,6 +501,7 @@ def scalar_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float
         return p
     D = shortest_path_metric(g).dist
     tol = REL_TOL * total
+    lengths = scalar_graph(g).lengths
 
     candidates: list[tuple[tuple[int, ...], list[tuple[int, int, float, float]]]] = []
     if not p.is_vertex and p.edge == q.edge and abs(p.offset - q.offset) <= total + tol:
@@ -500,14 +515,14 @@ def scalar_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float
             pieces = []
             if not p.is_vertex:
                 u, v = p.edge
-                pieces.append((u, v, p.offset, 0.0 if a == u else g.edge_length(u, v)))
+                pieces.append((u, v, p.offset, 0.0 if a == u else lengths[(u, v)]))
             for w1, w2 in zip(walk, walk[1:]):
                 cu, cv = (w1, w2) if w1 < w2 else (w2, w1)
-                length = g.edge_length(cu, cv)
+                length = lengths[(cu, cv)]
                 pieces.append((cu, cv, 0.0, length) if w1 == cu else (cu, cv, length, 0.0))
             if not q.is_vertex:
                 u, v = q.edge
-                pieces.append((u, v, 0.0 if b == u else g.edge_length(u, v), q.offset))
+                pieces.append((u, v, 0.0 if b == u else lengths[(u, v)], q.offset))
             candidates.append((walk, pieces))
     if not candidates:
         raise AssertionError("no route realizes the computed distance")
@@ -520,7 +535,7 @@ def scalar_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float
             off = start + remaining if end > start else start - remaining
             if off <= 0.0:
                 return ConvPoint.at_vertex(cu)
-            if off >= g.edge_length(cu, cv):
+            if off >= lengths[(cu, cv)]:
                 return ConvPoint.at_vertex(cv)
             return ConvPoint.on_edge(cu, cv, off)
         remaining -= length
@@ -541,12 +556,14 @@ def scalar_pair_window(g: WeightedGraph, pts) -> tuple[float, float]:
 
 
 def scalar_lcp_crossing_check(h: WeightedGraph, p: int) -> CrossingReport:
-    """``lcp_crossing_check`` walking the half x half grid through ``has_edge``."""
+    """``lcp_crossing_check`` walking the half x half grid through the
+    scalar graph's length dict."""
     n, half = 1 << p, (1 << p) // 2
+    lengths = scalar_graph(h).lengths
     present, missing = 0, None
     for x in range(half):
         for y in range(half, n):
-            if h.has_edge(x, y):
+            if (x, y) in lengths:
                 present += 1
             elif missing is None:
                 missing = (x, y)
@@ -556,11 +573,12 @@ def scalar_lcp_crossing_check(h: WeightedGraph, p: int) -> CrossingReport:
 def scalar_crossing_midpoint_packing(h: WeightedGraph, p: int) -> PackingCertificate:
     """``crossing_midpoint_packing`` with one scalar distance per pair."""
     n, half = 1 << p, 1 << (p - 1)
+    lengths = scalar_graph(h).lengths
     pts = tuple(
         ConvPoint.on_edge(x, y, float(half))
         for x in range(half)
         for y in range(half, n)
-        if h.has_edge(x, y)
+        if (x, y) in lengths
     )
     lo, hi = scalar_pair_window(h, pts)
     ok = len(pts) > 0 and (
@@ -588,7 +606,7 @@ def scalar_packing_witness(
     for a, b in scalar_long_edges(g, row, r):
         da, db = float(row[a]), float(row[b])
         near_is_a = da < db or (da == db and a < b)
-        x = r / 2.0 if near_is_a else g.edge_length(a, b) - r / 2.0
+        x = r / 2.0 if near_is_a else scalar_graph(g).lengths[(a, b)] - r / 2.0
         points.append(ConvPoint.on_edge(a, b, x))
     center = ConvPoint.at_vertex(u)
     for pt in points:
@@ -753,6 +771,16 @@ def scalar_weighted_graph(n_vertices: int, edges) -> ScalarGraph:
     return ScalarGraph(tuple(canonical), {(u, v): w for u, v, w in canonical}, degrees, adjacency)
 
 
+_SCALAR_GRAPHS: "weakref.WeakKeyDictionary[WeightedGraph, ScalarGraph]" = weakref.WeakKeyDictionary()
+
+
+def scalar_graph(g: WeightedGraph) -> ScalarGraph:
+    """``scalar_weighted_graph`` of ``g``'s edges, built once per graph."""
+    if g not in _SCALAR_GRAPHS:
+        _SCALAR_GRAPHS[g] = scalar_weighted_graph(g.n_vertices, g.edges)
+    return _SCALAR_GRAPHS[g]
+
+
 def scalar_apsp(n_vertices: int, edges) -> np.ndarray:
     """All-pairs shortest paths of a connected graph given as canonical
     ``(u, v, length)`` edges: both directions appended to Python lists,
@@ -825,3 +853,65 @@ def dense_completion_stretch(g: WeightedGraph, c: Completion, eps: float) -> Str
     completed graph's full all-pairs matrix."""
     test = shortest_path_metric(c.output).restrict(range(c.n_original))
     return verify_stretch(shortest_path_metric(g), test, eps, allow_contraction=True)
+
+
+def scalar_sample_points(g: WeightedGraph, samples_per_edge: int) -> list[ConvPoint]:
+    """``sample_points`` one edge and one offset at a time: an offset is kept
+    when it lies above the offset kept before it on its edge and below the
+    edge's length."""
+    pts = [ConvPoint.at_vertex(v) for v in range(g.n_vertices)]
+    for u, v, length in g.edges:
+        last = 0.0
+        for j in range(1, samples_per_edge + 1):
+            x = j * length / (samples_per_edge + 1)
+            if last < x < length:
+                pts.append(ConvPoint.on_edge(u, v, x))
+                last = x
+    return pts
+
+
+class ScalarCompletion(NamedTuple):
+    output: WeightedGraph
+    tail_index: dict[tuple[int, int], int]  # (vertex, position) -> output vertex
+    lifted: dict[tuple[int, int], tuple[int, int, int]]  # edge -> (a, b, level)
+
+
+def scalar_complete_tree(g: WeightedGraph, eps: float) -> ScalarCompletion:
+    """``complete_tree`` as one loop per vertex (its tail) and one per edge
+    (its level, found by doubling, and its ancestors, one parent link at a
+    time), with the lifted edges merged through a dict of lengths."""
+    t = build_net_tree(shortest_path_metric(g), eps)
+    tail_index: dict[tuple[int, int], int] = {}
+    edges: list[tuple[int, int, float]] = []
+    next_id = g.n_vertices
+    for u in range(g.n_vertices):
+        tail_index[(u, 0)] = u
+        prev = u
+        for j in range(1, istar(t, u) + 1):
+            tail_index[(u, j)] = next_id
+            edges.append((prev, next_id, 2.0**j / t.scale))
+            prev = next_id
+            next_id += 1
+
+    C = cover_constant(eps)
+    lifted: dict[tuple[int, int], tuple[int, int, int]] = {}
+    new_lengths: dict[tuple[int, int], float] = {}
+    for u, v, length in g.edges:
+        scaled = length * t.scale
+        if scaled <= C:
+            raise LevelUnderflow(
+                f"edge ({u}, {v}) of scaled length {scaled!r} sits below the first level"
+            )
+        level = 1
+        while scaled > C * NetTree.radius(level):
+            level += 1
+        a = tail_index[(level_ancestor_label(t, u, level), level)]
+        b = tail_index[(level_ancestor_label(t, v, level), level)]
+        lifted[(u, v)] = (a, b, level)
+        if a == b:
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key not in new_lengths or length < new_lengths[key]:
+            new_lengths[key] = length
+    edges += [(a, b, w) for (a, b), w in sorted(new_lengths.items())]
+    return ScalarCompletion(WeightedGraph(next_id, edges), tail_index, lifted)

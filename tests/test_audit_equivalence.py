@@ -99,11 +99,13 @@ class TestLongEdges:
         radii = np.unique(np.concatenate([values, (values[:-1] + values[1:]) / 2.0]))
         for u in range(g.n_vertices):
             for r in radii[np.isfinite(radii)]:
-                assert _long_edges(g, D[u], float(r)) == scalar_long_edges(g, D[u], float(r))
+                rows = _long_edges(g, D[u], float(r))
+                got = list(zip(g.u[rows].tolist(), g.v[rows].tolist()))
+                assert got == scalar_long_edges(g, D[u], float(r))
 
     def test_edgeless_graph_has_none(self):
         g = WeightedGraph(1, [])
-        assert _long_edges(g, shortest_path_metric(g).dist[0], 1.0) == []
+        assert _long_edges(g, shortest_path_metric(g).dist[0], 1.0).tolist() == []
 
 
 def scaled(g: WeightedGraph, factor: float) -> WeightedGraph:

@@ -32,7 +32,14 @@ from doubling.closure import (
     sample_points,
     sampled_conv_dimension,
 )
-from oracles import brute_audit_max, scalar_conv_distance, scalar_geodesic_point
+from oracles import (
+    brute_audit_max,
+    scalar_conv_distance,
+    scalar_geodesic_point,
+    scalar_packing_witness,
+    scalar_sample_points,
+    scalar_weighted_graph,
+)
 
 
 def single_edge(length: float = 4.0) -> WeightedGraph:
@@ -78,6 +85,8 @@ def path_graph() -> WeightedGraph:
         (ConvPoint.at_vertex(-1), "vertex -1 out of range for 3 vertices"),
         (ConvPoint(), "point is neither a vertex nor an edge position"),
         (ConvPoint.on_edge(0, 2, 0.5), "no edge between 0 and 2"),
+        (ConvPoint(edge=(2, 1), offset=0.5), "edge point endpoints must be given in increasing order"),
+        (ConvPoint(edge=(1, 1), offset=0.5), "no edge between 1 and 1"),
         (ConvPoint.on_edge(1, 2, 0.0), "offset 0.0 outside the open interval (0, 2.0)"),
         (ConvPoint.on_edge(1, 2, 2.0), "offset 2.0 outside the open interval (0, 2.0)"),
     ],
@@ -98,6 +107,25 @@ def test_invalid_points_are_refused_by_name(query, bad, message):
     check that failed."""
     with pytest.raises(InvalidPoint, match=f"^{re.escape(message)}$"):
         query(path_graph(), bad)
+
+
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([ConvPoint.on_edge(1, 2, 0.0), ConvPoint()], "offset 0.0 outside the open interval (0, 2.0)"),
+        ([ConvPoint(), ConvPoint.on_edge(1, 2, 0.0)], "point is neither a vertex nor an edge position"),
+        ([ConvPoint.on_edge(0, 2, 0.5), ConvPoint.at_vertex(3)], "no edge between 0 and 2"),
+        (
+            [ConvPoint.on_edge(0, 1, 0.5), ConvPoint.at_vertex(3), ConvPoint.on_edge(1, 2, 9.0)],
+            "vertex 3 out of range for 3 vertices",
+        ),
+    ],
+)
+def test_the_first_point_at_fault_is_named(points, message):
+    """Edge points are checked after the loop, in one lookup; a fault the
+    loop finds still gives way to an edge point at fault before it."""
+    with pytest.raises(InvalidPoint, match=f"^{re.escape(message)}$"):
+        closure.pairwise_window(path_graph(), points)
 
 
 class TestConvDistance:
@@ -210,7 +238,7 @@ def closure_pairs(draw, g: WeightedGraph):
     p = point()
     if not p.is_vertex and draw(st.booleans()):
         u, v = p.edge
-        return p, ConvPoint.on_edge(u, v, draw(fractions) * g.edge_length(u, v))
+        return p, ConvPoint.on_edge(u, v, draw(fractions) * float(g.w[g.edge_rows(u, v)]))
     return p, point()
 
 
@@ -257,8 +285,9 @@ class TestAudit:
             audit = long_edge_audit(g)
             u, r, edges = audit.witness
             D = shortest_path_metric(g).dist
+            lengths = scalar_weighted_graph(g.n_vertices, g.edges).lengths
             for a, b in edges:
-                assert g.edge_length(a, b) > r, name
+                assert lengths[(a, b)] > r, name
                 assert min(D[u, a], D[u, b]) <= r, name
 
     def test_matches_dense_grid_oracle(self, audit_graphs):
@@ -272,6 +301,13 @@ class TestAudit:
 
 
 class TestPackingWitness:
+    def test_a_tie_measures_from_the_smaller_endpoint(self):
+        """Edge (1, 2) is long at vertex 0 and both its ends are 1 away: the
+        point sits r/2 from the smaller end, as in the loop."""
+        g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 3.0)])
+        assert long_edge_packing_witness(g, 0, 1.5) == [ConvPoint.on_edge(1, 2, 0.75)]
+        assert scalar_packing_witness(g, 0, 1.5) == [ConvPoint.on_edge(1, 2, 0.75)]
+
     def test_star_witness_realizes_the_radius(self):
         g = exponential_star(5)
         W = long_edge_packing_witness(g, 0, 1.9)
@@ -368,6 +404,26 @@ class TestSampledDimension:
         assert m.n == len(pts) and (m.dist[~np.eye(m.n, dtype=bool)] > 0.0).all()
         est = sampled_conv_dimension(g, 2)
         assert est.dim_upper >= est.dim_lower > 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sample_points_match_the_offset_loop(self, data):
+        """The one-pass offsets keep exactly the points the per-edge loop
+        keeps, in its order, on lengths from subnormal (offsets that round
+        onto 0, the length or each other) to near the float maximum (where
+        ``j * length`` overflows to inf and is dropped)."""
+        n = data.draw(st.integers(1, 6))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+        lengths = st.one_of(
+            st.sampled_from([5e-324, 1e-323, 1.5e-323, 1e-322, 2.2e-308, 1.0, 1e308, 1.7976931348623157e308]),
+            st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+        )
+        g = WeightedGraph(n, [(u, v, data.draw(lengths)) for u, v in chosen])
+        s = data.draw(st.integers(0, 9))
+        got, want = sample_points(g, s), scalar_sample_points(g, s)
+        assert got == want
+        assert [repr(p) for p in got] == [repr(p) for p in want]
 
     def test_single_vertex(self):
         est = sampled_conv_dimension(WeightedGraph(1, []), 3)

@@ -1,11 +1,13 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubling import (
+    LevelOutOfRange,
     LevelUnderflow,
     WeightedGraph,
     attach_tails,
@@ -22,7 +24,7 @@ from doubling import (
     verify_completion,
 )
 from doubling.net_tree import build_net_tree, istar
-from oracles import dense_completion_stretch
+from oracles import dense_completion_stretch, scalar_complete_tree
 
 
 def path3() -> WeightedGraph:
@@ -37,23 +39,22 @@ class TestAttachTails:
     def test_collinear_tail_census(self):
         g = path3()
         t = build_net_tree(shortest_path_metric(g), 0.25)
-        tailed, tail_index = attach_tails(g, t)
+        tailed, tail_start = attach_tails(g, t)
         assert [istar(t, u) for u in range(3)] == [9, 7, 8]
         assert tailed.n_vertices == 3 + 9 + 7 + 8
-        assert tail_index[(0, 0)] == 0
-        assert tail_index[(0, 1)] == 3
-        assert tail_index[(1, 1)] == 12
-        assert tail_index[(2, 1)] == 19
+        # vertex u's tail positions 1, 2, ... start at tail_start[u]
+        assert tail_start.tolist() == [3, 12, 19, 27]
 
     def test_tail_path_lengths_double(self):
         g = path3()
         t = build_net_tree(shortest_path_metric(g), 0.25)
-        tailed, tail_index = attach_tails(g, t)
+        tailed, tail_start = attach_tails(g, t)
         m = shortest_path_metric(tailed)
         # walking to the j-th tail vertex sums 2 + 4 + ... + 2^j scaled units
-        tip = tail_index[(0, 9)]
+        tip = tail_start[0] + 8  # position 9
+        assert tip == tail_start[1] - 1
         assert m.d(0, tip) * t.scale == 1022.0
-        assert m.d(0, tail_index[(0, 1)]) * t.scale == 2.0
+        assert m.d(0, tail_start[0]) * t.scale == 2.0
 
     def test_vertex_count_mismatch(self):
         t = build_net_tree(shortest_path_metric(path3()), 0.25)
@@ -64,11 +65,13 @@ class TestAttachTails:
 class TestLiftEdges:
     def test_collinear_triangle_lift_map(self):
         c = complete_tree(collinear_triangle(), 0.25)
-        assert c.lifted == {
-            (0, 1): (3, 12, 1),
-            (0, 2): (4, 20, 2),
-            (1, 2): (12, 19, 1),
-        }
+        assert [column.tolist() for column in c.lifts] == [
+            [0, 0, 1],  # u
+            [1, 2, 2],  # v
+            [1, 2, 1],  # level
+            [3, 4, 12],  # a
+            [12, 20, 19],  # b
+        ]
         assert c.scale == 256.0
         assert not c.input_is_tree
 
@@ -85,17 +88,40 @@ class TestLiftEdges:
     def test_two_point_lift(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])
         c = complete_tree(g, 0.25)
-        assert c.lifted == {(0, 1): (2, 10, 1)}
+        assert [column.tolist() for column in c.lifts] == [[0], [1], [1], [2], [10]]
         assert c.output.n_vertices == 2 + 8 + 7
         assert c.output.is_tree()
 
     def test_short_edge_has_no_level(self):
         g = path3()
         t = build_net_tree(shortest_path_metric(g), 0.25)
-        tailed, tail_index = attach_tails(g, t)
-        shrunk = WeightedGraph(3, [(0, 1, 0.001), (1, 2, 1.0)])
-        with pytest.raises(LevelUnderflow):
-            lift_edges(tailed, tail_index, shrunk, t, 0.25)
+        tailed, tail_start = attach_tails(g, t)
+        for shrunk, edge in [
+            (WeightedGraph(3, [(0, 1, 0.001), (1, 2, 1.0)]), "(0, 1) of scaled length 0.256"),
+            (WeightedGraph(3, [(0, 1, 1.0), (1, 2, 0.001)]), "(1, 2) of scaled length 0.256"),
+        ]:
+            with pytest.raises(LevelUnderflow, match=rf"^edge {re.escape(edge)} sits below the first level$"):
+                lift_edges(tailed, tail_start, shrunk, t, 0.25)
+
+    def test_faults_name_the_first_edge_at_fault(self):
+        """Row order decides between an edge below level 1 and one above the
+        top level, as the one-edge-at-a-time loop does."""
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1000.0)])
+        with pytest.raises(LevelOutOfRange, match=r"^level 11 outside \[0, 9\]$"):
+            complete_tree(g, 0.25)
+        t = build_net_tree(shortest_path_metric(g), 0.25)
+        tailed, tail_start = attach_tails(g, t)
+        for lengths, error, message in [
+            ((1.0, 1000.0, 0.001), LevelOutOfRange, "level 11 "),  # (0, 2) comes before (1, 2)
+            ((1.0, 1000.0, 0.001)[::-1], LevelUnderflow, "edge "),
+            # scaled by 256, 1e308 is inf: at level 1017, the first whose
+            # bound 132 * 2^i is past the float range
+            ((1.0, 1e308, 0.001), LevelOutOfRange, "level 1017 "),
+            ((0.001, 1e308, 1.0), LevelUnderflow, "edge "),
+        ]:
+            h = WeightedGraph(3, list(zip([0, 0, 1], [1, 2, 2], lengths)))
+            with pytest.raises(error, match=f"^{message}"):
+                lift_edges(tailed, tail_start, h, t, 0.25)
 
     def test_star_completion_is_a_tree(self):
         g = exponential_star(3)
@@ -126,7 +152,8 @@ class TestVerifyCompletion:
     def test_halved_lifted_edge_is_caught(self):
         g = exponential_star(3)
         c = complete_tree(g, 0.25)
-        a, b, _ = c.lifted[(0, 1)]
+        row = g.edge_rows(0, 1)
+        a, b = int(c.lifts.a[row]), int(c.lifts.b[row])
         lo, hi = (a, b) if a < b else (b, a)
         edges = [
             (u, v, w / 2.0 if (u, v) == (lo, hi) else w) for u, v, w in c.output.edges
@@ -153,7 +180,8 @@ class TestVerifyCompletion:
             g, eps = collinear_triangle(), 0.25
         c = complete_tree(g, eps)
         if data.draw(st.booleans()):
-            a, b, _ = c.lifted[data.draw(st.sampled_from(sorted(c.lifted)))]
+            row = data.draw(st.integers(0, g.w.size - 1))
+            a, b = int(c.lifts.a[row]), int(c.lifts.b[row])
             factor = data.draw(st.sampled_from([0.5, 0.9, 1.1, 2.0]))
             key = (min(a, b), max(a, b))
             edges = [(u, v, w * factor if (u, v) == key else w) for u, v, w in c.output.edges]
@@ -179,6 +207,10 @@ class TestVerifyCompletion:
             complete_tree(path3(), 0.5)
 
 
+# a graph of 2 inputs and 3 tail vertices, and its scale and meta records
+FIVE = "graph 5\ne 0 1 1.0\nscale 2.0\nmeta 2 1\n"
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         g = exponential_star(3)
@@ -187,12 +219,19 @@ class TestSerialization:
         save_completion(c, path)
         loaded = load_completion(path)
         assert loaded.output.edges == c.output.edges
-        assert loaded.tail_index == c.tail_index
-        assert loaded.lifted == c.lifted
+        assert loaded.tail_start.tolist() == c.tail_start.tolist()
+        assert [column.tolist() for column in loaded.lifts] == [column.tolist() for column in c.lifts]
         assert loaded.scale == c.scale
         assert loaded.n_original == c.n_original
         assert loaded.input_is_tree is True
         assert verify_completion(g, loaded, 0.25).passed
+
+    def test_tail_records_in_any_order(self, tmp_path):
+        """Tails are checked in (vertex, position) order, whatever order the
+        file lists them in."""
+        path = tmp_path / "shuffled.completion"
+        path.write_text(f"{FIVE}tail 1 1 4\ntail 0 2 3\ntail 1 0 1\ntail 0 0 0\ntail 0 1 2\n")
+        assert load_completion(str(path)).tail_start.tolist() == [2, 4, 5]
 
     def test_missing_meta_record(self, tmp_path):
         path = tmp_path / "broken.txt"
@@ -226,10 +265,82 @@ class TestSerialization:
             ("scale 2.0\nmeta 2 1\ntail 0 1 1\n", 5, "position 0 is u, others new vertices"),
             ("scale 2.0\nmeta 2 1\nlift 0 1 0 0 1\n", 5, "wants u < v and a level >= 1"),
             ("scale 2.0\nmeta 2 1\nlift 1 0 1 0 1\n", 5, "wants u < v and a level >= 1"),
+            # tail layouts complete_tree never writes, on 2 inputs with 3 tail vertices
+            (f"{FIVE}tail 0 0 0\ntail 0 1 2\ntail 0 2 4\ntail 1 0 1\ntail 1 1 3\n", 7, "run on from 3$"),
+            (f"{FIVE}tail 0 0 0\ntail 0 2 2\ntail 1 0 1\ntail 1 1 3\n", 6, "no tail record for \\(0,1\\)"),
+            (f"{FIVE}tail 0 0 0\ntail 0 1 2\ntail 1 1 3\n", 7, "no tail record for \\(1,0\\) before"),
+            (f"{FIVE}tail 0 0 0\ntail 0 1 2\ntail 0 2 3\n", 7, "no tail record for \\(1,0\\)$"),
+            (f"{FIVE}tail 0 0 0\ntail 0 1 2\ntail 1 0 1\ntail 1 1 3\n", 8, "vertices 4..4 lie past"),
+            (f"{FIVE}", 4, "no tail record for \\(0,0\\)$"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, records, line, reason):
         path = tmp_path / "broken.completion"
-        path.write_text("graph 2\ne 0 1 1.0\n" + records, encoding="utf-8")
+        text = records if records.startswith("graph") else "graph 2\ne 0 1 1.0\n" + records
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: .*{reason}"):
             load_completion(str(path))
+
+
+def tails_as_dict(c) -> dict[tuple[int, int], int]:
+    """(vertex, position) -> output vertex, from the tail offsets."""
+    starts = c.tail_start.tolist()
+    tails = {(u, 0): u for u in range(c.n_original)}
+    for u in range(c.n_original):
+        tails.update({(u, j): new for j, new in enumerate(range(starts[u], starts[u + 1]), start=1)})
+    return tails
+
+
+def assert_same_completion(g: WeightedGraph, eps: float) -> None:
+    """Offset tails and lift columns against the dict-based loops: the same
+    output graph bytes, tails and lifts, or the same error."""
+    try:
+        want = scalar_complete_tree(g, eps)
+    except (LevelUnderflow, LevelOutOfRange) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            complete_tree(g, eps)
+        return
+    c = complete_tree(g, eps)
+    assert c.output.n_vertices == want.output.n_vertices
+    for name in ("u", "v", "w"):
+        got, ref = getattr(c.output, name), getattr(want.output, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    assert tails_as_dict(c) == want.tail_index
+    lifted = {(u, v): (a, b, level) for u, v, level, a, b in zip(*(col.tolist() for col in c.lifts))}
+    assert lifted == want.lifted
+
+
+class TestAgainstTheLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 10_000), k=st.integers(2, 5))
+    def test_random_trees(self, n, seed, k):
+        assert_same_completion(random_tree(n, seed), 2.0**-k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_non_trees(self, seed):
+        """Extra edges up to 2^12 long are often far longer than the path
+        between their ends: they lift to one shared ancestor (degenerate),
+        collide, or climb past the top level."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        edges = {(int(rng.integers(0, v)), v): float(2 ** rng.uniform(0, 12)) for v in range(1, n)}
+        for _ in range(n):
+            a, b = sorted(rng.choice(n, 2, replace=False).tolist())
+            edges[(a, b)] = float(2 ** rng.uniform(0, 12))
+        assert_same_completion(WeightedGraph(n, [(a, b, w) for (a, b), w in edges.items()]), 0.25)
+
+    def test_a_non_tree_with_degenerate_lifts(self):
+        rng = np.random.default_rng(13)
+        edges = {(int(rng.integers(0, v)), v): float(2 ** rng.uniform(0, 12)) for v in range(1, 10)}
+        for _ in range(10):
+            a, b = sorted(rng.choice(10, 2, replace=False).tolist())
+            edges[(a, b)] = float(2 ** rng.uniform(0, 12))
+        g = WeightedGraph(10, [(a, b, w) for (a, b), w in edges.items()])
+        c = complete_tree(g, 0.25)
+        assert (c.lifts.a == c.lifts.b).sum() == 2
+        assert_same_completion(g, 0.25)
+
+    @pytest.mark.parametrize("k", range(2, 18))
+    def test_stars(self, k):
+        assert_same_completion(exponential_star(16), 2.0**-k)

@@ -4,8 +4,9 @@ The graph validates its edges in one vectorised pass, keeps them as sorted
 arrays and one cached CSR, and runs directed Dijkstra on that CSR;
 ``oracles.scalar_weighted_graph`` keeps the per-edge constructor loop and
 ``oracles.scalar_apsp`` the list-built CSR with undirected Dijkstra. Edges,
-degrees, adjacency, lookups, error messages and distance bits must match
-exactly, and so must the spanner records built on first read.
+degrees, CSR neighbour rows, edge-row lookups, error messages and distance
+bits must match exactly, and so must the spanner records built on first
+read.
 """
 
 import math
@@ -17,13 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubling import (
+    ConvPoint,
     WeightedGraph,
     build_spanner,
     complete_tree,
+    conv_geodesic_point,
     exponential_star,
     lcp_metric,
+    long_edge_audit,
+    long_edge_packing_witness,
     random_euclidean,
     random_tree,
+    sample_metric,
+    save_completion,
+    save_graph,
+    save_spanner,
     shortest_path_metric,
 )
 from doubling.net_tree import build_net_tree
@@ -60,13 +69,35 @@ def assert_same_graph(n, edges):
         assert got.edges == want.edges
         assert all(type(x) is t for e in got.edges for x, t in zip(e, (int, int, float)))
         assert got.degrees() == want.degrees
-        assert got.adjacency() == want.adjacency
-        for (u, v), w in want.lengths.items():
-            assert got.has_edge(u, v) and got.has_edge(v, u)
-            assert got.edge_length(v, u) == w
-        for u in range(n):
-            for v in range(n):
-                assert got.has_edge(u, v) == ((min(u, v), max(u, v)) in want.lengths)
+        assert_same_lookup(got, want)
+
+
+def csr_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    """Per vertex, ``(neighbour, length)`` as its CSR row lists them."""
+    ptr, cols, data = g.csr.indptr.tolist(), g.csr.indices.tolist(), g.csr.data.tolist()
+    return [list(zip(cols[a:b], data[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+
+def assert_same_lookup(got: WeightedGraph, want) -> None:
+    """``edge_rows`` against the scalar graph's length dict for every ordered
+    pair of ids, one just outside the range on each side included: one pair
+    at a time, then all pairs as one array. Rows name the edges in
+    ``want.edges`` order, and the CSR rows list ``want.adjacency``."""
+    n = got.n_vertices
+    row_of = {(u, v): k for k, (u, v, _) in enumerate(want.edges)}
+    ids = range(-1, n + 1)
+    expected = [[row_of.get((min(u, v), max(u, v)), -1) for v in ids] for u in ids]
+    for u in ids:
+        for v in ids:
+            row = got.edge_rows(u, v)
+            assert type(row) is int and row == expected[u + 1][v + 1]
+            if row >= 0:
+                assert got.w[row] == want.lengths[(min(u, v), max(u, v))]
+    uu, vv = np.meshgrid(ids, ids, indexing="ij")
+    rows = got.edge_rows(uu, vv)
+    assert rows.dtype == np.intp and rows.tolist() == expected
+    assert got.edge_rows(np.array(list(ids)), 0).tolist() == [e[1] for e in expected]  # v = 0
+    assert csr_lists(got) == want.adjacency
 
 
 @st.composite
@@ -132,6 +163,18 @@ def test_mixed_faults(edges):
     assert_same_graph(3, edges)
 
 
+def test_ids_far_outside_the_graph_find_no_edge():
+    """A pair's key ``lo * n + hi`` can match a real edge's key, or wrap past
+    int64, for ids outside the graph; those pairs still find nothing."""
+    g = WeightedGraph(3, [(1, 2, 1.0)])
+    assert g.edge_rows(1, 2) == 0
+    assert g.edge_rows(0, 5) == -1  # key 5 is edge (1, 2)'s
+    assert g.edge_rows(2, -1) == -1 and g.edge_rows(-4, -2) == -1
+    huge = np.iinfo(np.intp).max
+    assert g.edge_rows(np.array([huge, 1, huge // 2]), np.array([huge - 1, 2, 3])).tolist() == [-1, 0, -1]
+    assert WeightedGraph(4, []).edge_rows(np.zeros((2, 3), dtype=int), 1).tolist() == [[-1] * 3] * 2
+
+
 def test_edge_rows_must_be_triples():
     with pytest.raises(ValueError, match="triples"):
         WeightedGraph(3, [(0, 1), (1, 2)])
@@ -188,7 +231,9 @@ def test_apsp_matches_on_built_graphs(build):
     g = build()
     assert_same_apsp(g)
     want = scalar_weighted_graph(g.n_vertices, g.edges)
-    assert g.degrees() == want.degrees and g.adjacency() == want.adjacency
+    assert g.degrees() == want.degrees and csr_lists(g) == want.adjacency
+    rows = g.edge_rows(g.v, g.u)  # every edge, reversed
+    assert rows.tolist() == list(range(g.w.size))
 
 
 @st.composite
@@ -270,3 +315,23 @@ def test_donated_records_match_the_eager_ones():
     s = donate_edges(directed, m, 0.25, net_tree=t)
     assert s.edges == eager_records(directed, m, 0.25)
     assert any(r.donor is not None for r in s.edges)
+
+
+def test_package_code_reads_columns_not_the_tuple_view(tmp_path):
+    """Saving, sampling, auditing and walking read the ``u``/``v``/``w``
+    columns: on fresh graphs, none of these builds ``edges`` (nor a
+    spanner's records)."""
+    g = random_tree(12, 3)
+    save_graph(g, str(tmp_path / "tree.graph"))
+    s = build_spanner(random_euclidean(12, 2, 1), 0.25)
+    save_spanner(s, str(tmp_path / "run.spanner"))
+    c = complete_tree(g, 0.25)
+    save_completion(c, str(tmp_path / "run.completion"))
+    h = random_tree(8, 1)
+    sample_metric(h, 2)
+    u, r, _ = long_edge_audit(h).witness
+    long_edge_packing_witness(h, u, r)
+    conv_geodesic_point(h, ConvPoint.at_vertex(0), ConvPoint.on_edge(int(h.u[-1]), int(h.v[-1]), 0.5), 2.0)
+    for graph in (g, s.graph, c.output, h):
+        assert "edges" not in vars(graph)
+    assert "edges" not in vars(s)

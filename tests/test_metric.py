@@ -121,10 +121,11 @@ class TestWeightedGraph:
     def test_canonical_edges(self):
         g = WeightedGraph(3, [(2, 1, 3.0), (1, 0, 1.0)])
         assert g.edges == ((0, 1, 1.0), (1, 2, 3.0))
-        assert g.has_edge(2, 1) and g.edge_length(2, 1) == 3.0
-        assert not g.has_edge(0, 2)
+        assert g.edge_rows(2, 1) == 1 and g.w[g.edge_rows(2, 1)] == 3.0
+        assert g.edge_rows(0, 2) == -1
         assert g.degrees() == [1, 2, 1]
-        assert g.adjacency()[1] == [(0, 1.0), (2, 3.0)]
+        row = slice(g.csr.indptr[1], g.csr.indptr[2])
+        assert g.csr.indices[row].tolist() == [0, 2] and g.csr.data[row].tolist() == [1.0, 3.0]
 
     @pytest.mark.parametrize(
         "n,edges",
@@ -145,7 +146,9 @@ class TestWeightedGraph:
         assert g.u is u and g.v is v and g.w is w
         assert not any(column.flags.writeable for column in (u, v, w))
         want = WeightedGraph(3, [(2, 1, 3.0), (0, 2, 2.0), (1, 0, 1.0)])
-        assert g.edges == want.edges and g.adjacency() == want.adjacency()
+        assert g.edges == want.edges
+        for name in ("indptr", "indices", "data"):
+            assert getattr(g.csr, name).tolist() == getattr(want.csr, name).tolist()
         empty = np.array([], dtype=np.intp)
         assert WeightedGraph._from_rows(2, empty, empty.copy(), np.array([])).edges == ()
 
