@@ -40,7 +40,6 @@ from .errors import (
     LevelUnderflow,
     SizeMismatch,
     TooFewLeaves,
-    UnknownPoint,
     VertexSetMismatch,
     VerificationError,
 )
@@ -77,8 +76,6 @@ from .net_tree import (
     NetTree,
     ValidationReport,
     build_net_tree,
-    istar,
-    level_ancestor_label,
     load_net_tree,
     save_net_tree,
     tau_for,

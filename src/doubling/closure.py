@@ -99,6 +99,19 @@ class _ExitTable(NamedTuple):
     def rows(self, lo: int, hi: int) -> "_ExitTable":
         return _ExitTable(*(column[lo:hi] for column in self))
 
+    @classmethod
+    def _from_columns(cls, g: WeightedGraph, vertices, rows, offsets) -> "_ExitTable":
+        """The ``vertices``, then the points at ``offsets`` from ``u`` along
+        the edge ``rows`` of ``g``, trusted to lie strictly inside them."""
+        k = len(vertices)
+        return cls(
+            np.concatenate([vertices, g.u[rows]]),
+            np.concatenate([vertices, g.v[rows]]),
+            np.concatenate([np.zeros(k), offsets]),
+            np.concatenate([np.zeros(k), g.w[rows] - offsets]),
+            np.concatenate([np.full(k, -1), rows]),
+        )
+
 
 def _exit_table(g: WeightedGraph, pts: Sequence[ConvPoint]) -> _ExitTable:
     """The exit table of ``pts``; the first point that is neither a vertex of
@@ -148,15 +161,14 @@ def _exit_table(g: WeightedGraph, pts: Sequence[ConvPoint]) -> _ExitTable:
 
 
 def _exit_tables(
-    g: WeightedGraph, *point_sets: Sequence[ConvPoint]
+    g: WeightedGraph, *tables: _ExitTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[_ExitTable]]:
-    """The sorted distinct exit vertices ``V`` of all ``point_sets``, their
+    """The sorted distinct exit vertices ``V`` of all ``tables``, their
     Dijkstra rows, the distances among ``V`` read from those rows and
-    symmetrised, and each set's exit table with its exits renumbered into
-    ``V``. Both directions of every pair are among the rows, so the third
-    matrix is bit for bit ``shortest_path_metric(g).dist[np.ix_(V, V)]``,
-    with no all-pairs run."""
-    tables = [_exit_table(g, pts) for pts in point_sets]
+    symmetrised, and each table with its exits renumbered into ``V``. Both
+    directions of every pair are among the rows, so the third matrix is bit
+    for bit ``shortest_path_metric(g).dist[np.ix_(V, V)]``, with no
+    all-pairs run."""
     V = np.unique(np.concatenate([t.a for t in tables] + [t.b for t in tables]))
     rows = distance_rows(g, V)
     among = rows[:, V]
@@ -208,20 +220,25 @@ def point_distances(
     Q[j])``; it can differ from entry (j, i) of the swapped call in the last
     bit, because the exit costs are added in the other order.
     """
-    V, _, D, (tp, tq) = _exit_tables(g, P, Q)
-    out = np.empty((len(P), len(Q)))
-    rows = max(1, _BLOCK_ENTRIES // max(1, V.size, len(Q)))
-    for lo in range(0, len(P), rows):
+    return _table_distances(g, _exit_table(g, P), _exit_table(g, Q))
+
+
+def _table_distances(g: WeightedGraph, tp: _ExitTable, tq: _ExitTable) -> np.ndarray:
+    """:func:`point_distances` between two exit tables' points, in row blocks."""
+    V, _, D, (tp, tq) = _exit_tables(g, tp, tq)
+    out = np.empty((tp.a.size, tq.a.size))
+    rows = max(1, _BLOCK_ENTRIES // max(1, V.size, tq.a.size))
+    for lo in range(0, tp.a.size, rows):
         out[lo : lo + rows] = _distance_block(D, tp.rows(lo, lo + rows), tq)
     return out
 
 
-def _pair_blocks(g: WeightedGraph, pts: Sequence[ConvPoint]) -> Iterator[tuple[int, np.ndarray]]:
-    """The pairs i < j of ``pts`` in blocks of at most ``_BLOCK_ENTRIES``
+def _pair_blocks(g: WeightedGraph, table: _ExitTable) -> Iterator[tuple[int, np.ndarray]]:
+    """The pairs i < j of ``table``'s points in blocks of at most ``_BLOCK_ENTRIES``
     distances: ``(lo, block)`` with ``block[r, c]`` the distance between
     points ``lo + r`` and ``lo + 1 + c``, and NaN where that is not a pair."""
-    V, _, D, (table,) = _exit_tables(g, pts)
-    n = len(pts)
+    V, _, D, (table,) = _exit_tables(g, table)
+    n = table.a.size
     rows = max(1, _BLOCK_ENTRIES // max(1, V.size, n))
     for lo in range(0, n - 1, rows):
         hi = min(lo + rows, n - 1)
@@ -234,7 +251,7 @@ def pairwise_window(g: WeightedGraph, pts: Sequence[ConvPoint]) -> tuple[float, 
     """Smallest and largest closure distance over the pairs of ``pts``
     ((0.0, 0.0) for fewer than two points)."""
     lo, hi = math.inf, 0.0
-    for _, block in _pair_blocks(g, pts):
+    for _, block in _pair_blocks(g, _exit_table(g, pts)):
         lo, hi = min(lo, float(np.nanmin(block))), max(hi, float(np.nanmax(block)))
     return (lo, hi) if len(pts) > 1 else (0.0, 0.0)
 
@@ -311,7 +328,7 @@ def conv_geodesic_point(g: WeightedGraph, p: ConvPoint, q: ConvPoint, s: float) 
         raise ValueError(f"arc length {s!r} outside [0, {total!r}]")
     if s <= 0.0:
         return p
-    V, rows, D, (tp, tq) = _exit_tables(g, [p], [q])
+    V, rows, D, (tp, tq) = _exit_tables(g, _exit_table(g, [p]), _exit_table(g, [q]))
     # exit (position in V) -> cost; a vertex's two exits fold into one key
     exits_p, exits_q = (
         {int(t.a[0]): float(t.cost_a[0]), int(t.b[0]): float(t.cost_b[0])} for t in (tp, tq)
@@ -357,11 +374,15 @@ class AuditResult:
 
     ``witness`` is the (vertex, radius, edges) triple attaining the global
     maximum — smallest vertex first, then smallest radius.
+    ``per_vertex_profile[u]`` is vertex u's maximum, in a read-only intp array.
     """
 
     max_count: int
     witness: tuple[int, float, tuple[tuple[int, int], ...]]
-    per_vertex_profile: dict[int, int]
+    per_vertex_profile: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.per_vertex_profile.setflags(write=False)
 
 
 def _long_edges(g: WeightedGraph, row: np.ndarray, r: float) -> np.ndarray:
@@ -402,9 +423,10 @@ def long_edge_audit(g: WeightedGraph) -> AuditResult:
     read in blocks of ``ROW_BLOCK`` vertices), so a recount by single-source
     Dijkstra from the witness vertex finds exactly the witness edges.
     """
-    if not g.w.size:
-        return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
     n = g.n_vertices
+    profile = np.zeros(n, dtype=np.intp)
+    if not g.w.size:
+        return AuditResult(0, (0, 0.0, ()), profile)
     by_length = np.argsort(g.w, kind="stable")
     a, b, lengths = g.u[by_length], g.v[by_length], g.w[by_length]
 
@@ -412,7 +434,6 @@ def long_edge_audit(g: WeightedGraph) -> AuditResult:
     best_vertex = 0
     best_radius = 0.0
     best_row = np.zeros(n)
-    profile: dict[int, int] = {}
     rank = np.empty(n, dtype=np.intp)
     for lo in range(0, n, ROW_BLOCK):
         rows = distance_rows(g, np.arange(lo, min(lo + ROW_BLOCK, n)))
@@ -429,9 +450,9 @@ def long_edge_audit(g: WeightedGraph) -> AuditResult:
             stops = np.searchsorted(active, np.searchsorted(lengths, ds, side="right"))
             counts = starts - stops
             k = int(np.argmax(counts))
-            profile[u] = int(counts[k])
-            if profile[u] > best_count:
-                best_count = profile[u]
+            profile[u] = count = int(counts[k])
+            if count > best_count:
+                best_count = count
                 best_vertex = u
                 best_row = row
                 best_radius = float(ds[k])
@@ -464,12 +485,13 @@ def long_edge_packing_witness(g: WeightedGraph, u: int, r: float) -> list[ConvPo
     x = np.where(row[a] <= row[b], r / 2.0, g.w[rows] - r / 2.0)
     points = [ConvPoint.on_edge(*point) for point in zip(a.tolist(), b.tolist(), x.tolist())]
 
-    radial = point_distances(g, [ConvPoint.at_vertex(u)], points)[0]
+    table = _exit_table(g, [ConvPoint.at_vertex(u), *points])  # the center, then the points
+    radial = _table_distances(g, table.rows(0, 1), table.rows(1, len(points) + 1))[0]
     outside = np.flatnonzero(radial > 2.0 * r * (1.0 + REL_TOL))
     if outside.size:
         raise VerificationError(f"witness point {points[outside[0]]} falls outside the 2r ball")
     floor = r * (1.0 - REL_TOL)
-    for lo, block in _pair_blocks(g, points):
+    for lo, block in _pair_blocks(g, table.rows(1, len(points) + 1)):
         close = block < floor  # NaN (not a pair) compares False
         if close.any():
             row, col = np.unravel_index(np.argmax(close), close.shape)
@@ -488,16 +510,22 @@ def sample_points(g: WeightedGraph, samples_per_edge: int) -> list[ConvPoint]:
     (0, length) that differ from the offset kept before them are sampled:
     offsets only rise, so that is the offset just before (0 before the first).
     """
+    rows, offsets = _sample_offsets(g, samples_per_edge)
+    columns = zip(g.u[rows].tolist(), g.v[rows].tolist(), offsets.tolist())
+    pts = [ConvPoint.at_vertex(v) for v in range(g.n_vertices)]
+    return pts + [ConvPoint(edge=(u, v), offset=offset) for u, v, offset in columns]
+
+
+def _sample_offsets(g: WeightedGraph, samples_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rows and offsets from ``u`` of the edge points of :func:`sample_points`."""
     if samples_per_edge < 0:
         raise ValueError("samples_per_edge must be nonnegative")
     k = samples_per_edge + 1
     with np.errstate(over="ignore"):  # an overflowing offset is inf, never kept
         x = np.arange(k) * g.w[:, None] / k
     before, x = x[:, :-1], x[:, 1:]
-    row, j = np.nonzero((before < x) & (x < g.w[:, None]))
-    pts = [ConvPoint.at_vertex(v) for v in range(g.n_vertices)]
-    columns = (g.u[row].tolist(), g.v[row].tolist(), x[row, j].tolist())
-    return pts + [ConvPoint(edge=(u, v), offset=offset) for u, v, offset in zip(*columns)]
+    rows, j = np.nonzero((before < x) & (x < g.w[:, None]))
+    return rows, x[rows, j]
 
 
 def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:
@@ -511,8 +539,9 @@ def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:
         raise ConfigError(
             f"{samples_per_edge} samples per edge overflow the offsets on an edge of length {longest!r}"
         )
-    pts = sample_points(g, samples_per_edge)
-    out = point_distances(g, pts, pts)
+    rows, offsets = _sample_offsets(g, samples_per_edge)
+    table = _ExitTable._from_columns(g, np.arange(g.n_vertices), rows, offsets)
+    out = _table_distances(g, table, table)
     out = np.minimum(out, out.T)
     np.fill_diagonal(out, 0.0)
     return FiniteMetric(out, validate=False)

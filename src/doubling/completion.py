@@ -74,7 +74,7 @@ class Completion:
 def attach_tails(g: WeightedGraph, t: NetTree) -> tuple[WeightedGraph, np.ndarray]:
     """Hang an exponential path off every vertex, one edge per net level.
 
-    Vertex u receives istar(u) tail edges whose scaled lengths double from
+    Vertex u receives ``t.istar[u]`` tail edges whose scaled lengths double from
     2^1 up; tail vertex ids continue past the originals in (vertex, position)
     order. Edge lengths are emitted in original units, so the path to the
     j-th tail vertex measures (2^(j+1) - 2) / scale. Returns the input with
@@ -206,7 +206,9 @@ def load_completion(path: str) -> Completion:
     also one for a record :func:`complete_tree` never writes, reads ``path:line: reason``.
 
     Tails must take the layout :func:`complete_tree` writes; a record that
-    breaks it is named in (vertex, position) order."""
+    breaks it is named in (vertex, position) order. Then a lift at level i
+    must join two position-i tail vertices by an edge of the graph (or be
+    one such vertex); the first lift that does not is named in file order."""
     with open(path, "r", encoding="utf-8") as fh:
         graph, extras, last = _parse_graph_lines(
             path, _data_lines(fh), extra_kinds=("scale", "meta", "tail", "lift")
@@ -267,6 +269,14 @@ def load_completion(path: str) -> Completion:
             raise ValueError(f"no tail record for ({prev[0] + 1},0)")
         if next_new < n:
             raise ValueError(f"vertices {next_new}..{n - 1} lie past the last tail")
+        # a lift joins two tail vertices at its level, by a graph edge unless a == b
+        position = {new: j for (_, j), (_, new) in tails.items()}
+        ends = np.array([parts[3:] for _, parts in rows["lift"]], dtype=np.intp).reshape(-1, 2)
+        for (at, (u, v, level, a, b)), row in zip(rows["lift"], graph.edge_rows(*ends.T).tolist()):
+            if not position[a] == position[b] == level:
+                raise ValueError(f"lift ({u},{v}) -> ({a},{b}): wants tail vertices at position {level}")
+            if a != b and row < 0:
+                raise ValueError(f"lift ({u},{v}) -> ({a},{b}): the graph has no such edge")
     except ValueError as exc:
         raise ValueError(f"{path}:{at}: {exc}") from None
     columns = zip(*sorted((u, v, *rest) for (u, v), rest in lifts.items()))

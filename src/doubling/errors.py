@@ -7,7 +7,6 @@ __all__ = [
     "DisconnectedGraph",
     "SizeMismatch",
     "InvalidPoint",
-    "UnknownPoint",
     "LevelOutOfRange",
     "LevelUnderflow",
     "EmptyLongEdgeSet",
@@ -42,10 +41,6 @@ class SizeMismatch(DoublingError):
 
 class InvalidPoint(DoublingError):
     """A continuous point does not lie on the given graph."""
-
-
-class UnknownPoint(DoublingError):
-    """A point id is not a leaf of the net-tree in question."""
 
 
 class LevelOutOfRange(DoublingError):

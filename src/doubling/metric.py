@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -432,14 +432,7 @@ class DimensionEstimate:
     lower_witness: tuple[int, float, tuple[int, ...]] | None = None
 
     def merged_with_lower(self, low: "DimensionEstimate") -> "DimensionEstimate":
-        return DimensionEstimate(
-            lambda_upper=self.lambda_upper,
-            dim_upper=self.dim_upper,
-            dim_lower=low.dim_lower,
-            mode=self.mode,
-            upper_witness=self.upper_witness,
-            lower_witness=low.lower_witness,
-        )
+        return replace(self, dim_lower=low.dim_lower, lower_witness=low.lower_witness)
 
 
 def _half_down(v: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LevelOutOfRange, UnknownPoint
+from .errors import ConfigError, LevelOutOfRange
 from .metric import REL_TOL, FiniteMetric, _data_lines, greedy_net
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "ValidationReport",
     "build_net_tree",
     "validate_net_tree",
-    "istar",
-    "level_ancestor_label",
     "save_net_tree",
     "load_net_tree",
 ]
@@ -138,27 +136,6 @@ def build_net_tree(m: FiniteMetric, eps: float) -> NetTree:
         nets.append(kept)
     parents.append(np.full(1, -1))
     return NetTree(nets, parents, scale, scaled)
-
-
-def istar(t: NetTree, v: int) -> int:
-    """Highest level whose net still contains the point ``v``."""
-    if not 0 <= v < t.istar.size or t.istar[v] < 0:
-        raise UnknownPoint(f"point {v} is not a leaf of this net-tree")
-    return int(t.istar[v])
-
-
-def level_ancestor_label(t: NetTree, v: int, i: int) -> int:
-    """Label of the level-i ancestor of the leaf ``v`` (at level-0 position v)."""
-    if not 0 <= v < t.n_points:
-        raise UnknownPoint(f"point {v} is not a leaf of this net-tree")
-    if not 0 <= i <= t.top_level:
-        raise LevelOutOfRange(f"level {i} outside [0, {t.top_level}]")
-    idx = v
-    for level in range(i):
-        idx = t.parents[level][idx]
-        if idx < 0:  # pragma: no cover - only the top lacks a parent
-            raise LevelOutOfRange(f"node at level {level} has no parent")
-    return int(t.nets[i][idx])
 
 
 @dataclass(frozen=True)

@@ -282,11 +282,11 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
     within its (1+eps) stretch. The records are the raw records of the kept
     edges; if every raw edge is kept, ``raw`` itself is returned.
 
-    Working memory, besides ``m`` and ``raw``: an int32 raw-row table and a
-    float64 D, n x n each; 16 bytes per pair for the visiting order (int32
-    ``a`` and ``b``, float64 limits), up to twice that while it is built;
-    and, once a hit needs Dijkstra, the raw graph's CSR (24 bytes per raw
-    edge, about 90 while it is built).
+    Working memory, besides ``m`` and ``raw``: a float64 D, n x n; 16 bytes
+    per pair for the visiting order (int32 ``a`` and ``b``, float64 limits),
+    up to twice that while it is built; the raw graph's 8-byte edge keys,
+    which find each block's raw edges in one ``edge_rows`` call; and, once
+    a hit needs Dijkstra, its CSR (24 bytes per raw edge, 48 while built).
 
     The same edges as that per-pair loop, with less work:
 
@@ -302,8 +302,6 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
     """
     n, eps, M = m.n, raw.eps, m.dist
     g = raw.graph
-    raw_row = np.full((n, n), -1, dtype=np.int32)  # -1: no raw edge
-    raw_row[g.u, g.v] = np.arange(g.w.size)
     a, b = (index.astype(np.int32) for index in np.triu_indices(n, k=1))
     # triu pairs come in (a, b) order, so a stable sort by d is (d, a, b) order
     order = np.argsort(M[a, b], kind="stable")
@@ -317,8 +315,7 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
     kept = np.zeros(g.w.size, dtype=bool)  # one flag per raw edge row
     waiting: list[np.ndarray] = []  # raw rows of kept edges whose D update waits
 
-    def keep(x: np.ndarray, y: np.ndarray) -> None:
-        rows = raw_row[x, y]
+    def keep(rows: np.ndarray) -> None:
         assert (rows >= 0).all(), "only raw pairs are kept"
         rows = rows[~kept[rows]]
         kept[rows] = True
@@ -334,7 +331,8 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
         via[np.arange(hits.size), x] = np.inf
         via[np.arange(hits.size), y] = np.inf
         forced = via.min(axis=1, initial=np.inf) > limit[hits] * (1.0 + REL_TOL)
-        lacking = np.flatnonzero(forced & (raw_row[x, y] < 0))
+        rows = g.edge_rows(x, y)  # -1: no raw edge
+        lacking = np.flatnonzero(forced & (rows < 0))
         if lacking.size:
             k = lacking[0]
             raise VerificationError(
@@ -343,7 +341,7 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
         # the forced hits between two others are kept together
         start = 0
         for at in np.flatnonzero(~forced).tolist():
-            keep(x[start:at], y[start:at])
+            keep(rows[start:at])
             start = at + 1
             if waiting:
                 pending = np.concatenate(waiting)
@@ -354,8 +352,8 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
             k, xa, yb = int(hits[at]), int(x[at]), int(y[at])
             if not D[xa, yb] > limit[k]:
                 continue
-            if raw_row[xa, yb] >= 0:
-                keep(x[at : at + 1], y[at : at + 1])
+            if rows[at] >= 0:
+                keep(rows[at : at + 1])
                 continue
             bound = float(limit[k] * (1.0 + REL_TOL))
             dist, pred = dijkstra(g.csr, indices=xa, return_predecessors=True, limit=bound)
@@ -366,9 +364,8 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
             walk = [yb]
             while walk[-1] != xa:
                 walk.append(int(pred[walk[-1]]))
-            ends = np.sort(np.column_stack((walk[:-1], walk[1:])), axis=1)
-            keep(ends[:, 0], ends[:, 1])
-        keep(x[start:], y[start:])
+            keep(g.edge_rows(walk[:-1], walk[1:]))
+        keep(rows[start:])
 
     if kept.all():
         return raw

@@ -78,6 +78,7 @@ from doubling import (
     REL_TOL,
     DimensionEstimate,
     FiniteMetric,
+    LevelOutOfRange,
     LevelUnderflow,
     StretchReport,
     VerificationError,
@@ -89,7 +90,7 @@ from doubling.closure import AuditResult, ConvPoint, conv_distance
 from doubling.completion import Completion
 from doubling.instances import CrossingReport, PackingCertificate
 from doubling.metric import greedy_net
-from doubling.net_tree import NetTree, build_net_tree, istar, level_ancestor_label, tau_for
+from doubling.net_tree import NetTree, build_net_tree, tau_for
 from doubling.spanner import Spanner, cover_constant
 
 
@@ -155,12 +156,12 @@ def scalar_long_edge_audit(g: WeightedGraph) -> AuditResult:
     consecutive breakpoints, both positive, by two sorts of all edges,
     with each vertex's distances from its own Dijkstra run."""
     if not g.edges:
-        return AuditResult(0, (0, 0.0, ()), {u: 0 for u in range(g.n_vertices)})
+        return AuditResult(0, (0, 0.0, ()), np.zeros(g.n_vertices, dtype=np.intp))
     shortest_path_metric(g)  # raises DisconnectedGraph
     best_count = 0
     best_vertex = 0
     best_radius = 0.0
-    profile: dict[int, int] = {}
+    profile = np.zeros(g.n_vertices, dtype=np.intp)
     ends_a = np.array([e[0] for e in g.edges], dtype=np.intp)
     ends_b = np.array([e[1] for e in g.edges], dtype=np.intp)
     lengths = np.array([e[2] for e in g.edges], dtype=np.float64)
@@ -176,9 +177,9 @@ def scalar_long_edge_audit(g: WeightedGraph) -> AuditResult:
             stop_sorted, radii, side="right"
         )
         k = int(np.argmax(counts))
-        profile[u] = int(counts[k])
-        if profile[u] > best_count:
-            best_count = profile[u]
+        profile[u] = count = int(counts[k])
+        if count > best_count:
+            best_count = count
             best_vertex = u
             best_radius = float(radii[k])
     witness_edges = tuple(scalar_long_edges(g, scalar_row(g, best_vertex), best_radius))
@@ -676,6 +677,15 @@ def scalar_level_ancestor(levels, v: int, i: int) -> int:
     return levels[i][idx][0]
 
 
+def net_ancestor(t: NetTree, v: int, i: int) -> int:
+    """Label of the level-i ancestor of leaf ``v``, climbing ``t.parents``
+    one level at a time."""
+    idx = v
+    for level in range(i):
+        idx = int(t.parents[level][idx])
+    return int(t.nets[i][idx])
+
+
 def scalar_base_edge_sets(S: np.ndarray, levels, C: float) -> list[list[tuple[int, int]]]:
     """Candidate pairs per level: level-i labels within C * 2**i, skipping
     every pair already placed lower down (a ``seen`` set)."""
@@ -887,7 +897,7 @@ def scalar_complete_tree(g: WeightedGraph, eps: float) -> ScalarCompletion:
     for u in range(g.n_vertices):
         tail_index[(u, 0)] = u
         prev = u
-        for j in range(1, istar(t, u) + 1):
+        for j in range(1, int(t.istar[u]) + 1):
             tail_index[(u, j)] = next_id
             edges.append((prev, next_id, 2.0**j / t.scale))
             prev = next_id
@@ -905,8 +915,10 @@ def scalar_complete_tree(g: WeightedGraph, eps: float) -> ScalarCompletion:
         level = 1
         while scaled > C * NetTree.radius(level):
             level += 1
-        a = tail_index[(level_ancestor_label(t, u, level), level)]
-        b = tail_index[(level_ancestor_label(t, v, level), level)]
+        if level > t.top_level:
+            raise LevelOutOfRange(f"level {level} outside [0, {t.top_level}]")
+        a = tail_index[(net_ancestor(t, u, level), level)]
+        b = tail_index[(net_ancestor(t, v, level), level)]
         lifted[(u, v)] = (a, b, level)
         if a == b:
             continue

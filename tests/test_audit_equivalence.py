@@ -21,7 +21,7 @@ from doubling import (
     random_tree,
     shortest_path_metric,
 )
-from doubling.closure import _long_edges, long_edge_audit
+from doubling.closure import AuditResult, _long_edges, long_edge_audit
 from oracles import scalar_long_edge_audit, scalar_long_edges
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -44,8 +44,12 @@ def small_integer_graphs(draw, max_vertices: int = 9) -> WeightedGraph:
     return WeightedGraph(n, [(i, j, float(w)) for (i, j), w in zip(pairs, lengths)])
 
 
-def assert_same_audit(g: WeightedGraph) -> None:
-    assert long_edge_audit(g) == scalar_long_edge_audit(g)
+def assert_same_audit(g: WeightedGraph) -> AuditResult:
+    got, want = long_edge_audit(g), scalar_long_edge_audit(g)
+    assert (got.max_count, got.witness) == (want.max_count, want.witness)
+    assert np.array_equal(got.per_vertex_profile, want.per_vertex_profile)
+    assert got.per_vertex_profile.dtype == np.intp
+    return got
 
 
 class TestMatchesScalarAudit:
@@ -84,8 +88,7 @@ class TestMatchesScalarAudit:
     @pytest.mark.parametrize("length", [2.0**-40, 1.0, 3.0, 2.0**40])
     def test_single_edge(self, length):
         g = WeightedGraph(2, [(0, 1, length)])
-        audit = long_edge_audit(g)
-        assert audit == scalar_long_edge_audit(g)
+        audit = assert_same_audit(g)
         # the plateau from 0 is reported at half the only breakpoint
         assert audit.witness == (0, length / 2.0, ((0, 1),))
 
@@ -122,7 +125,7 @@ class TestScaleInvariance:
         base = long_edge_audit(g)
         big = long_edge_audit(scaled(g, factor))
         assert big.max_count == base.max_count
-        assert big.per_vertex_profile == base.per_vertex_profile
+        assert np.array_equal(big.per_vertex_profile, base.per_vertex_profile)
         (u, r, edges), (su, sr, sedges) = base.witness, big.witness
         assert (su, sedges) == (u, edges)
         assert sr == r * factor

@@ -378,7 +378,7 @@ class TestMain:
         guard refuses before any sample point is built."""
         src = tmp_path / "two.graph"
         src.write_text("graph 2\ne 0 1 1.0\n")
-        monkeypatch.setattr(closure, "sample_points", lambda *a: pytest.fail("built points"))
+        monkeypatch.setattr(closure, "_sample_offsets", lambda *a: pytest.fail("built points"))
         argv = ["dim", "--input", str(src), "--samples-per-edge", "100000000"]
         assert main(argv) == 2
         assert "memory" in capsys.readouterr().err

@@ -42,6 +42,14 @@ from oracles import (
 )
 
 
+# edge lengths from subnormal, where sample offsets round onto each other,
+# to near the float maximum, where they overflow
+EDGE_LENGTHS = st.one_of(
+    st.sampled_from([5e-324, 1e-323, 1.5e-323, 1e-322, 2.2e-308, 1.0, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+)
+
+
 def single_edge(length: float = 4.0) -> WeightedGraph:
     return WeightedGraph(2, [(0, 1, length)])
 
@@ -379,7 +387,7 @@ class TestSampledDimension:
         no warning (the suite turns one into an error)."""
         g = single_edge(1e308)
         with monkeypatch.context() as mp:
-            mp.setattr(closure, "sample_points", lambda *a: pytest.fail("built points"))
+            mp.setattr(closure, "_sample_offsets", lambda *a: pytest.fail("built points"))
             with pytest.raises(ConfigError, match="edge of length 1e\\+308"):
                 sample_metric(g, 2)
         assert sample_points(g, 1)[-1] == ConvPoint.on_edge(0, 1, 5e307)
@@ -415,15 +423,46 @@ class TestSampledDimension:
         n = data.draw(st.integers(1, 6))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
-        lengths = st.one_of(
-            st.sampled_from([5e-324, 1e-323, 1.5e-323, 1e-322, 2.2e-308, 1.0, 1e308, 1.7976931348623157e308]),
-            st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
-        )
-        g = WeightedGraph(n, [(u, v, data.draw(lengths)) for u, v in chosen])
+        g = WeightedGraph(n, [(u, v, data.draw(EDGE_LENGTHS)) for u, v in chosen])
         s = data.draw(st.integers(0, 9))
         got, want = sample_points(g, s), scalar_sample_points(g, s)
         assert got == want
         assert [repr(p) for p in got] == [repr(p) for p in want]
+
+    def test_sample_metric_builds_no_points(self, monkeypatch):
+        """The sample goes from its offsets to exit-table columns directly."""
+        g = exponential_star(6)
+        want = sample_metric(g, 3).dist
+        monkeypatch.setattr(closure, "ConvPoint", None)
+        assert sample_metric(g, 3).dist.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sample_metric_is_the_symmetrised_point_distances(self, data):
+        """The column-built sample equals, bit for bit, the point distances
+        among :func:`sample_points`, symmetrised with a zero diagonal, on
+        connected graphs with lengths from subnormal to near the float
+        maximum. Offsets beyond the float range are refused before the
+        sample is built, and distances beyond it once they are measured."""
+        n = data.draw(st.integers(1, 6))
+        tree = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+        extra = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=4)) if others else []
+        g = WeightedGraph(n, [(u, v, data.draw(EDGE_LENGTHS)) for u, v in tree + extra])
+        s = data.draw(st.integers(0, 4))
+        if not math.isfinite(s * float(g.w.max(initial=0.0))):
+            with pytest.raises(ConfigError):
+                sample_metric(g, s)
+            return
+        pts = sample_points(g, s)
+        want = closure.point_distances(g, pts, pts)
+        want = np.minimum(want, want.T)
+        np.fill_diagonal(want, 0.0)
+        if not np.isfinite(want).all():
+            with pytest.raises(ValueError, match="distances must be finite"):
+                sample_metric(g, s)
+            return
+        assert sample_metric(g, s).dist.tobytes() == want.tobytes()
 
     def test_single_vertex(self):
         est = sampled_conv_dimension(WeightedGraph(1, []), 3)

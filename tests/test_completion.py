@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubling import (
+    Completion,
     LevelOutOfRange,
     LevelUnderflow,
     WeightedGraph,
@@ -23,7 +24,7 @@ from doubling import (
     shortest_path_metric,
     verify_completion,
 )
-from doubling.net_tree import build_net_tree, istar
+from doubling.net_tree import build_net_tree
 from oracles import dense_completion_stretch, scalar_complete_tree
 
 
@@ -40,7 +41,7 @@ class TestAttachTails:
         g = path3()
         t = build_net_tree(shortest_path_metric(g), 0.25)
         tailed, tail_start = attach_tails(g, t)
-        assert [istar(t, u) for u in range(3)] == [9, 7, 8]
+        assert t.istar.tolist() == [9, 7, 8]
         assert tailed.n_vertices == 3 + 9 + 7 + 8
         # vertex u's tail positions 1, 2, ... start at tail_start[u]
         assert tail_start.tolist() == [3, 12, 19, 27]
@@ -127,7 +128,7 @@ class TestLiftEdges:
         g = exponential_star(3)
         c = complete_tree(g, 0.25)
         t = build_net_tree(shortest_path_metric(g), 0.25)
-        assert [istar(t, u) for u in range(4)] == [10, 7, 8, 9]
+        assert t.istar.tolist() == [10, 7, 8, 9]
         assert c.output.n_vertices == 38
         assert len(c.output.edges) == 37
         assert c.output.is_tree()
@@ -207,8 +208,21 @@ class TestVerifyCompletion:
             complete_tree(path3(), 0.5)
 
 
+def assert_reloads(c: Completion, tmp_path) -> None:
+    """``c`` saves, loads back with the same tails and lifts, and saves again
+    to the same bytes."""
+    first, again = tmp_path / "first.completion", tmp_path / "again.completion"
+    save_completion(c, str(first))
+    loaded = load_completion(str(first))
+    assert loaded.tail_start.tolist() == c.tail_start.tolist()
+    assert [col.tolist() for col in loaded.lifts] == [col.tolist() for col in c.lifts]
+    save_completion(loaded, str(again))
+    assert again.read_bytes() == first.read_bytes()
+
+
 # a graph of 2 inputs and 3 tail vertices, and its scale and meta records
 FIVE = "graph 5\ne 0 1 1.0\nscale 2.0\nmeta 2 1\n"
+TAILS = "tail 0 0 0\ntail 0 1 2\ntail 0 2 3\ntail 1 0 1\ntail 1 1 4\n"  # on FIVE, lines 5-9
 
 
 class TestSerialization:
@@ -225,6 +239,12 @@ class TestSerialization:
         assert loaded.n_original == c.n_original
         assert loaded.input_is_tree is True
         assert verify_completion(g, loaded, 0.25).passed
+
+    @pytest.mark.parametrize("n,seed", [(12, 3), (60, 1)])
+    def test_every_written_lift_loads(self, tmp_path, n, seed):
+        """The lift checks accept every lift complete_tree writes."""
+        c = complete_tree(random_tree(n, seed), 0.25)
+        assert_reloads(c, tmp_path)
 
     def test_tail_records_in_any_order(self, tmp_path):
         """Tails are checked in (vertex, position) order, whatever order the
@@ -272,6 +292,18 @@ class TestSerialization:
             (f"{FIVE}tail 0 0 0\ntail 0 1 2\ntail 0 2 3\n", 7, "no tail record for \\(1,0\\)$"),
             (f"{FIVE}tail 0 0 0\ntail 0 1 2\ntail 1 0 1\ntail 1 1 3\n", 8, "vertices 4..4 lie past"),
             (f"{FIVE}", 4, "no tail record for \\(0,0\\)$"),
+            # lifts complete_tree never writes: off the tails at their level, or
+            # between two tail vertices the graph does not join
+            ("scale 2.0\nmeta 2 1\ntail 0 0 0\ntail 1 0 1\nlift 0 1 7 0 1\n", 7, "at position 7$"),
+            (f"{FIVE}{TAILS}lift 0 1 2 3 4\n", 10, "-> \\(3,4\\): wants tail vertices at position 2$"),
+            (f"{FIVE}{TAILS}lift 0 1 1 0 2\n", 10, "wants tail vertices at position 1$"),
+            (f"{FIVE}{TAILS}lift 0 1 1 2 4\n", 10, "-> \\(2,4\\): the graph has no such edge$"),
+            (
+                "graph 6\ne 0 1 1.0\ne 1 2 1.0\nscale 2.0\nmeta 3 1\ntail 0 0 0\ntail 0 1 3\n"
+                "tail 1 0 1\ntail 1 1 4\ntail 2 0 2\ntail 2 1 5\nlift 1 2 1 4 5\nlift 0 1 1 3 4\n",
+                12,
+                "lift \\(1,2\\) -> \\(4,5\\): the graph has no such edge$",
+            ),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, records, line, reason):
@@ -330,7 +362,7 @@ class TestAgainstTheLoops:
             edges[(a, b)] = float(2 ** rng.uniform(0, 12))
         assert_same_completion(WeightedGraph(n, [(a, b, w) for (a, b), w in edges.items()]), 0.25)
 
-    def test_a_non_tree_with_degenerate_lifts(self):
+    def test_a_non_tree_with_degenerate_lifts(self, tmp_path):
         rng = np.random.default_rng(13)
         edges = {(int(rng.integers(0, v)), v): float(2 ** rng.uniform(0, 12)) for v in range(1, 10)}
         for _ in range(10):
@@ -340,6 +372,7 @@ class TestAgainstTheLoops:
         c = complete_tree(g, 0.25)
         assert (c.lifts.a == c.lifts.b).sum() == 2
         assert_same_completion(g, 0.25)
+        assert_reloads(c, tmp_path)
 
     @pytest.mark.parametrize("k", range(2, 18))
     def test_stars(self, k):

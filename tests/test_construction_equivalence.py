@@ -27,7 +27,6 @@ from doubling import (
     WeightedGraph,
     exponential_star,
     lcp_metric,
-    level_ancestor_label,
     random_euclidean,
     shortest_path_metric,
 )
@@ -42,6 +41,7 @@ from doubling.spanner import (
     donation_threshold,
 )
 from oracles import (
+    net_ancestor,
     scalar_base_edge_sets,
     scalar_conv_distance,
     scalar_directions,
@@ -85,7 +85,7 @@ def assert_net_tree_matches(m: FiniteMetric, eps: float) -> tuple[NetTree, list]
     assert t.istar.tolist() == [istar_of[v] for v in range(m.n)]
     for v in range(m.n):
         for i in range(t.top_level + 1):
-            assert level_ancestor_label(t, v, i) == scalar_level_ancestor(levels, v, i)
+            assert net_ancestor(t, v, i) == scalar_level_ancestor(levels, v, i)
     return t, levels
 
 

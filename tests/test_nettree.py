@@ -8,11 +8,8 @@ from doubling import (
     ConfigError,
     FiniteMetric,
     LevelOutOfRange,
-    UnknownPoint,
     WeightedGraph,
     build_net_tree,
-    istar,
-    level_ancestor_label,
     load_net_tree,
     save_net_tree,
     shortest_path_metric,
@@ -20,6 +17,7 @@ from doubling import (
 )
 from doubling.metric import greedy_net
 from doubling.net_tree import NetTree, check_eps, tau_for
+from oracles import net_ancestor
 
 
 def two_point_metric(d: float = 1.0) -> FiniteMetric:
@@ -56,7 +54,7 @@ class TestBuild:
         t = build_net_tree(two_point_metric(), 0.25)
         assert t.scale == 256.0
         assert t.top_level == 8
-        assert [istar(t, v) for v in (0, 1)] == [8, 7]
+        assert t.istar.tolist() == [8, 7]
         for i in range(8):
             assert t.labels(i) == [0, 1]
         assert t.labels(8) == [0]
@@ -73,7 +71,7 @@ class TestBuild:
         assert t.scale == 256.0
         assert float(t.scaled_dist[0, 2]) == 512.0
         assert t.top_level == 9
-        assert [istar(t, v) for v in (0, 1, 2)] == [9, 7, 8]
+        assert t.istar.tolist() == [9, 7, 8]
         assert t.labels(8) == [0, 2]
         assert t.labels(9) == [0]
 
@@ -89,7 +87,7 @@ class TestBuild:
         t = build_net_tree(FiniteMetric([[0.0]]), 0.25)
         assert t.top_level == 0
         assert t.n_points == 1
-        assert istar(t, 0) == 0
+        assert t.istar.tolist() == [0]
 
     @pytest.mark.parametrize(
         "dist,fault",
@@ -117,32 +115,23 @@ class TestAncestors:
     def test_level_zero_is_the_point(self):
         t = build_net_tree(collinear_metric(), 0.25)
         for v in range(3):
-            assert level_ancestor_label(t, v, 0) == v
+            assert net_ancestor(t, v, 0) == v
 
     def test_merged_point_routes_to_survivor(self):
         t = build_net_tree(collinear_metric(), 0.25)
-        assert level_ancestor_label(t, 1, 8) == 0  # 1 merged into 0 at level 8
-        assert level_ancestor_label(t, 2, 9) == 0
-        assert level_ancestor_label(t, 2, 8) == 2
+        assert net_ancestor(t, 1, 8) == 0  # 1 merged into 0 at level 8
+        assert net_ancestor(t, 2, 9) == 0
+        assert net_ancestor(t, 2, 8) == 2
 
     def test_out_of_range_level(self):
         t = build_net_tree(two_point_metric(), 0.25)
         with pytest.raises(LevelOutOfRange):
-            level_ancestor_label(t, 0, t.top_level + 1)
-        with pytest.raises(LevelOutOfRange):
             t.labels(t.top_level + 1)
-
-    def test_unknown_point(self):
-        t = build_net_tree(two_point_metric(), 0.25)
-        with pytest.raises(UnknownPoint):
-            istar(t, 7)
-        with pytest.raises(UnknownPoint):
-            level_ancestor_label(t, 7, 0)
 
     def test_istar_marks_last_surviving_level(self):
         t = build_net_tree(collinear_metric(), 0.25)
         for v in range(3):
-            k = istar(t, v)
+            k = int(t.istar[v])
             for i in range(k + 1):
                 assert v in t.labels(i)
             if k < t.top_level:
@@ -157,7 +146,7 @@ class TestAncestors:
         S = t.scaled_dist
         for v in range(m.n):
             for i in range(t.top_level + 1):
-                anc = level_ancestor_label(t, v, i)
+                anc = net_ancestor(t, v, i)
                 assert S[v, anc] <= 2.0 ** (i + 1) - 2.0 + 1e-6
 
 

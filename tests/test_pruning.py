@@ -26,6 +26,7 @@ from doubling import (
     long_edge_audit,
     random_euclidean,
     shortest_path_metric,
+    spanner,
     verify_stretch,
 )
 from doubling.net_tree import build_net_tree
@@ -112,6 +113,20 @@ def test_geometric_progression_comb(eps):
     assert_prunes_like_the_loop(comb(), eps)
 
 
+def test_hits_served_by_a_raw_path_walk_it(monkeypatch):
+    """On this input four hits lack their own raw edge and get the missing
+    edges of their Dijkstra walk in the raw spanner, looked up by row."""
+    sources = []
+
+    def counted(*args, **kwargs):
+        sources.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(spanner, "dijkstra", counted)
+    assert_prunes_like_the_loop(random_euclidean(40, 2, 4), 0.25)
+    assert len(sources) == 4
+
+
 def test_star_center_keeps_the_donation_bound():
     """Greedy over all pairs would keep every centre edge of the star (each
     comes before the leaf pairs that could route around it); restricted to
@@ -136,6 +151,25 @@ def test_a_pair_without_a_raw_path_is_named():
     # the bound is (1 + eps) * 1.7 = 2.125, widened by REL_TOL
     with pytest.raises(VerificationError, match=r"no path from 0 to 2 within 2\.125000002125$"):
         prune_edges(Spanner(graph, records, 0.25, None, 2), m)
+
+
+def test_a_walk_keeps_an_edge_its_own_pair_did_not_need():
+    """(1, 2) at 0.530 is served through 5 (0.650 <= 1.25 * 0.530), so it is
+    not kept for itself. (2, 3) at 0.635 has no raw edge and no kept route
+    within 1.25 * 0.635; its raw walk 2-1-3 (0.787) keeps (1, 2) after all,
+    and the stretch holds only with it."""
+    pts = np.array([[0.265, 0.186], [0.726, 0.665], [0.198, 0.62], [0.8, 0.419], [0.91, 0.183], [0.543, 0.83]])
+    m = FiniteMetric(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)))
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4)]
+    graph = WeightedGraph(6, [(a, b, m.dist[a, b]) for a, b in pairs])
+    records = SpannerRecords(
+        graph.u, graph.v, graph.w, np.ones(10, dtype=np.int64), np.full(10, -1, dtype=np.intp)
+    )
+    raw = Spanner(graph, records, 0.25, None, max(graph.degrees()))
+    s = prune_edges(raw, m)
+    assert kept_pairs(s) == scalar_path_greedy(raw, m)
+    assert (1, 2) in kept_pairs(s)
+    assert verify_stretch(m, shortest_path_metric(s.graph), 0.25).passed
 
 
 def test_a_forced_pair_without_its_edge_is_named():

@@ -83,7 +83,7 @@ def test_long_edge_audit(family, k, s):
     a, b = long_edge_audit(g), long_edge_audit(scaled_graph(g, s))
     assert b.max_count == a.max_count
     assert b.witness == scaled_witness(a.witness, s)
-    assert b.per_vertex_profile == a.per_vertex_profile
+    assert np.array_equal(b.per_vertex_profile, a.per_vertex_profile)
 
 
 @settings(max_examples=25)
