@@ -23,6 +23,7 @@ from .metric import (
     FiniteMetric,
     WeightedGraph,
     _refuse_beyond_memory,
+    _refuse_overflow,
     distance_rows,
     doubling_estimate,
     packing_lower_bound,
@@ -531,7 +532,8 @@ def _sample_offsets(g: WeightedGraph, samples_per_edge: int) -> tuple[np.ndarray
 def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:
     """Closure distances over :func:`sample_points`, as a finite metric. A
     matrix beyond physical memory, or an edge whose sample offsets overflow
-    float64, is refused before any point is built."""
+    float64, is refused before any point is built, and a distance that
+    overflows once measured names its pair, each with :class:`ConfigError`."""
     n = g.n_vertices + max(samples_per_edge, 0) * g.w.size
     _refuse_beyond_memory(n, "the closure sample")
     longest = float(g.w.max(initial=0.0))
@@ -544,6 +546,7 @@ def sample_metric(g: WeightedGraph, samples_per_edge: int) -> FiniteMetric:
     out = _table_distances(g, table, table)
     out = np.minimum(out, out.T)
     np.fill_diagonal(out, 0.0)
+    _refuse_overflow(out, "closure sample")
     return FiniteMetric(out, validate=False)
 
 

@@ -27,7 +27,7 @@ from .metric import (
     verify_stretch,
 )
 from .net_tree import NetTree, build_net_tree, check_eps
-from .spanner import cover_constant
+from .spanner import _bracket_level, cover_constant
 
 __all__ = [
     "Completion",
@@ -107,21 +107,16 @@ def lift_edges(
     """Move every original edge up the tails of its level ancestors.
 
     An edge of scaled length L belongs to the unique level i with
-    C * 2^(i-1) < L <= C * 2^i; it is removed and re-created between the
-    i-th tail vertices of its endpoints' level-i ancestors, at its original
-    length. Collisions keep the shorter edge; degenerate loops vanish. The
-    first edge in row order below level 1, or above the top level, raises.
-    Ancestors climb one net level at a time for all vertices at once.
+    C * 2^(i-1) < L <= C * 2^i, as candidate pairs do (``_bracket_level``);
+    it is removed and re-created between the i-th tail vertices of its
+    endpoints' level-i ancestors, at its original length. Collisions keep
+    the shorter edge; degenerate loops vanish. The first edge in row order
+    below level 1, or above the top level, raises. Ancestors climb one net
+    level at a time for all vertices at once.
     """
     check_eps(eps)
-    C = cover_constant(eps)
-    # C * 2^i for i = 1, 2, ...: C > 4, so the last ones are inf, and so is
-    # a length scaled past the float range; every finite one finds its level
-    with np.errstate(over="ignore"):
-        scaled = g.w * t.scale
-        bounds = np.ldexp(C, np.arange(1, np.finfo(float).maxexp))
-    level = np.searchsorted(bounds, scaled) + 1
-    under = scaled <= C
+    scaled, level = _bracket_level(g.w, t.scale, eps)
+    under = scaled <= cover_constant(eps)
     fault = under | (level > t.top_level)
     if fault.any():
         k = int(np.argmax(fault))

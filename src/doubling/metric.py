@@ -340,15 +340,23 @@ def _require_connected(g: WeightedGraph) -> None:
         raise DisconnectedGraph(rep_a, rep_b)
 
 
+def _refuse_overflow(D: np.ndarray, what: str) -> None:
+    """Name the first pair i < j of the symmetric ``D`` whose distance is inf."""
+    if not D.max(initial=0.0) < np.inf:
+        i, j = divmod(int(np.argmax(np.isinf(D))), D.shape[0])
+        raise ConfigError(f"{what} distance ({i},{j}) overflows float64")
+
+
 def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     """All-pairs shortest-path metric of a connected graph.
 
     Raises :class:`DisconnectedGraph` naming one vertex per component when
     the graph is not connected, and :class:`ConfigError` before any search
-    when the matrix would not fit in memory. The result is cached on the
-    graph, and so is the unsymmetrised Dijkstra matrix it was made from (one
-    more n x n array, within the four the preflight counts), which then
-    serves every :func:`distance_rows` request on the graph.
+    when the matrix would not fit in memory, or naming the first pair whose
+    length overflows float64. The result is cached on the graph, and so is
+    the unsymmetrised Dijkstra matrix it was made from (one more n x n
+    array, within the four the preflight counts), which then serves every
+    :func:`distance_rows` request on the graph.
     """
     if g._metric is not None:
         return g._metric
@@ -360,6 +368,7 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     rows.setflags(write=False)
     # Dijkstra from each source is symmetric up to float rounding; make it exact.
     D = np.minimum(rows, rows.T)
+    _refuse_overflow(D, "shortest-path")
     # shortest-path distances satisfy the triangle inequality by construction
     m = FiniteMetric(D, validate=False)
     g._metric, g._all_rows, g._kept_rows = m, rows, {}

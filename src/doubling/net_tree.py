@@ -42,27 +42,20 @@ def tau_for(eps: float) -> int:
 
 class NetTree:
     """Per-level nets and parent links plus the scale that took the metric to
-    net units.
+    net units; the tree keeps no distances.
 
     ``nets[i]`` holds the labels of level i in ascending order; level 0 is
     every point 0..n-1. ``parents[i][k]`` is the position in ``nets[i + 1]``
     of the parent of node k of level i, and -1 at the top. ``istar[v]`` is
-    the highest level whose net contains v (-1 if none does), and
-    ``scaled_dist`` is the rescaled distance matrix the nets were built on.
+    the highest level whose net contains v (-1 if none does). The metric
+    the nets were built on is ``m.dist * scale``.
     """
 
-    def __init__(
-        self,
-        nets: Sequence[Sequence[int]],
-        parents: Sequence[Sequence[int]],
-        scale: float,
-        scaled_dist: np.ndarray,
-    ) -> None:
+    def __init__(self, nets: Sequence[Sequence[int]], parents: Sequence[Sequence[int]], scale: float) -> None:
         self.nets = [np.asarray(net, dtype=np.intp) for net in nets]
         self.parents = [np.asarray(up, dtype=np.intp) for up in parents]
         self.scale = scale
-        self.scaled_dist = scaled_dist
-        self.istar = np.full(scaled_dist.shape[0], -1, dtype=np.intp)
+        self.istar = np.full(self.n_points, -1, dtype=np.intp)
         for i, net in enumerate(self.nets):
             self.istar[net] = i
 
@@ -99,7 +92,7 @@ def build_net_tree(m: FiniteMetric, eps: float) -> NetTree:
     tau = tau_for(eps)
     n = m.n
     if n == 1:
-        return NetTree([[0]], [[-1]], 1.0, np.zeros((1, 1)))
+        return NetTree([[0]], [[-1]], 1.0)
     smallest, largest = m.min_distance(), m.diameter()
     scale = 2.0**tau / smallest
     if not math.isfinite(scale):
@@ -135,7 +128,7 @@ def build_net_tree(m: FiniteMetric, eps: float) -> NetTree:
         parents.append(hits.argmax(axis=1))
         nets.append(kept)
     parents.append(np.full(1, -1))
-    return NetTree(nets, parents, scale, scaled)
+    return NetTree(nets, parents, scale)
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,8 @@ def save_net_tree(t: NetTree, path: str) -> None:
 
 def load_net_tree(path: str, m: FiniteMetric) -> NetTree:
     """Read a net-tree saved by :func:`save_net_tree` over the metric ``m``;
-    every ``ValueError`` reads ``path:line: reason``."""
+    every ``ValueError`` reads ``path:line: reason``. Every level holds a
+    node, so a header promising more levels than ``node`` records is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = _data_lines(fh)
         try:
@@ -219,9 +213,13 @@ def load_net_tree(path: str, m: FiniteMetric) -> NetTree:
             n_levels, scale = int(head[1]), float(head[2])
             if not (scale > 0.0 and math.isfinite(scale)):
                 raise ValueError(f"scale {head[2]!r} is not positive and finite")
+            records = list(lines)
+            n_nodes = sum(parts[0] == "node" for _, parts in records)
+            if n_levels > n_nodes:
+                raise ValueError(f"the header promises {n_levels} levels over {n_nodes} node records")
             nets: list[list[int]] = [[] for _ in range(n_levels)]
             parents: list[list[int]] = [[] for _ in range(n_levels)]
-            for at, parts in lines:
+            for at, parts in records:
                 if parts[0] != "node" or len(parts) != 5:
                     raise ValueError(f"bad record {' '.join(parts)!r}")
                 level, index, label = int(parts[1]), int(parts[2]), int(parts[3])
@@ -240,4 +238,4 @@ def load_net_tree(path: str, m: FiniteMetric) -> NetTree:
                 raise ValueError(f"level 0 has {len(nets[0])} of the metric's {m.n} points")
         except ValueError as exc:
             raise ValueError(f"{path}:{at}: {exc}") from None
-    return NetTree(nets, parents, scale, m.dist * scale)
+    return NetTree(nets, parents, scale)

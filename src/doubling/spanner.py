@@ -54,6 +54,16 @@ def cover_constant(eps: float) -> float:
     return 4.0 + 32.0 / eps
 
 
+def _bracket_level(lengths: np.ndarray, scale: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths scaled to net units, and each one's level: the least i >= 1
+    with L <= C * 2**i, so C * 2**(i-1) < L <= C * 2**i above C."""
+    # C > 4, so the last bounds are inf, and an L past the float range finds one too
+    with np.errstate(over="ignore"):
+        scaled = lengths * scale
+        bounds = np.ldexp(cover_constant(eps), np.arange(1, np.finfo(float).maxexp))
+    return scaled, np.searchsorted(bounds, scaled) + 1
+
+
 def donation_threshold(eps: float) -> int:
     """How many low in-edge level groups a vertex keeps untouched."""
     return math.ceil(7.0 * math.log2(1.0 / eps))
@@ -130,35 +140,30 @@ class Spanner:
 
 def build_base_edge_sets(m: FiniteMetric, t: NetTree, eps: float) -> list[np.ndarray]:
     """Level-indexed candidate edge sets (index 0 is empty), one ``(k, 2)``
-    array of pairs ``a < b`` per level.
+    array of pairs ``a < b`` per level, in ascending pair order.
 
-    E_i holds the pairs of level-i net labels within cover_constant * 2**i
-    in the rescaled metric, minus everything that appeared at lower levels,
-    in ascending pair order. Every fresh pair is asserted to fall in the
-    half-open length bracket (C * 2**(i-1), C * 2**i]: nets are nested, so
-    anything shorter was already eligible one level down.
+    A pair sits at the bracket level i of its rescaled length ``m.dist *
+    t.scale`` (:func:`_bracket_level`, as in ``lift_edges``) when both ends
+    lie in the level-i net: nets are nested, so E_i is every pair of level-i
+    labels within C * 2**i not placed lower down. A placed pair at or below
+    C, and levels that are not nested sets of labels, raise ``AssertionError``.
     """
     check_eps(eps)
     if t.n_points != m.n:
         raise ValueError("net-tree and metric disagree on the point count")
-    C = cover_constant(eps)
+    for i, net in enumerate(t.nets):
+        # nested sets of distinct labels: level i holds the points whose istar reaches i
+        if not np.array_equal(np.sort(net), np.flatnonzero(t.istar >= i)):
+            raise AssertionError("net-tree levels are not nested sets of distinct labels")
     rows, cols = np.triu_indices(m.n, k=1)
-    dist = t.scaled_dist[rows, cols]
-    sets = [np.empty((0, 2), dtype=np.intp)]
-    for i in range(1, t.top_level + 1):
-        member = np.zeros(m.n, dtype=bool)
-        member[t.nets[i]] = True
-        hit = member[rows] & member[cols] & (dist <= C * NetTree.radius(i))
-        short = np.flatnonzero(hit & (dist <= C * NetTree.radius(i - 1)))
-        if short.size:
-            k = short[0]
-            raise AssertionError(
-                f"edge {(int(rows[k]), int(cols[k]))} of scaled length {float(dist[k])!r} "
-                f"outside the level-{i} bracket"
-            )
-        sets.append(np.column_stack((rows[hit], cols[hit])))
-        rows, cols, dist = rows[~hit], cols[~hit], dist[~hit]
-    return sets
+    dist, level = _bracket_level(m.dist[rows, cols], t.scale, eps)
+    placed = np.flatnonzero(level <= np.minimum(t.istar[rows], t.istar[cols]))
+    short = placed[dist[placed] <= cover_constant(eps)]
+    if short.size:
+        edge, length = (int(rows[short[0]]), int(cols[short[0]])), float(dist[short[0]])
+        raise AssertionError(f"edge {edge} of scaled length {length!r} outside the level-1 bracket")
+    pairs, level = np.column_stack((rows[placed], cols[placed])), level[placed]
+    return [pairs[level == i] for i in range(t.top_level + 1)]
 
 
 def assign_directions(edge_sets: Sequence[np.ndarray], t: NetTree) -> np.ndarray:
@@ -376,10 +381,10 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
 
 
 # The peak of build_spanner in n x n float64 arrays, its input metric
-# included, with about 10% to spare: tracemalloc read 1 + 11.9, 11.3 and
-# 10.3 on random_euclidean(n, 2, 1) at eps = 1/4 for n = 800, 1600 and
-# 3200, and 1 + 12.6 at eps = 1/32 (n = 800), where the raw spanner holds
-# 99% of all pairs.
+# included, with room to spare: tracemalloc read 1 + 8.2, 7.7 and 6.9 on
+# random_euclidean(n, 2, 1) at eps = 1/4 for n = 800, 1600 and 3200, and
+# 1 + 8.6 at eps = 1/32 (n = 800), where the raw spanner holds 99% of all
+# pairs.
 _BUILD_MATRICES = 15
 
 

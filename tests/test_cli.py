@@ -27,6 +27,10 @@ from doubling.errors import ConfigError
 from doubling.report import RunReport, emit_plot_data
 
 
+# the path 0 - 1 - 2 measures 1.797e308 + 1e300 from 0 to 2: inf in float64
+OVERFLOW_GRAPH = "graph 3\ne 0 1 1.7976931348623157e308\ne 1 2 1e300\n"
+
+
 def star_spec(n: int) -> InstanceSpec:
     return InstanceSpec(family="exponential-star", n=n)
 
@@ -243,13 +247,18 @@ class TestMain:
             ("spanner", "tiny.metric", "metric 2\nd 0 1 5e-324\n", "smallest distance 5e-324"),
             ("complete-tree", "wide.graph", "graph 3\ne 0 1 1e-300\ne 1 2 1e300\n", "largest distance 1e+300"),
             ("dim", "long.graph", "graph 2\ne 0 1 1e308\n", "edge of length 1e+308"),
+            *(
+                (command, "overflow.graph", OVERFLOW_GRAPH, "shortest-path distance (0,2) overflows float64")
+                for command in ("dim", "spanner", "complete-tree")
+            ),
         ],
     )
     def test_distances_beyond_float_range_are_a_usage_error(
         self, tmp_path, capsys, command, name, text, fault
     ):
-        """A net-tree rescale or closure sample offset that overflows float64
-        is refused with exit 2, not a traceback or an invalid point."""
+        """A net-tree rescale, closure sample offset or shortest-path sum
+        that overflows float64 is refused with exit 2, not a traceback or an
+        invalid point."""
         src = tmp_path / name
         src.write_text(text, encoding="utf-8")
         eps = [] if command == "dim" else ["--epsilon", "0.25"]

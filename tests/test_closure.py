@@ -443,7 +443,8 @@ class TestSampledDimension:
         among :func:`sample_points`, symmetrised with a zero diagonal, on
         connected graphs with lengths from subnormal to near the float
         maximum. Offsets beyond the float range are refused before the
-        sample is built, and distances beyond it once they are measured."""
+        sample is built, and distances beyond it once they are measured, naming
+        the pair, with ``ConfigError``."""
         n = data.draw(st.integers(1, 6))
         tree = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
         others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
@@ -459,10 +460,18 @@ class TestSampledDimension:
         want = np.minimum(want, want.T)
         np.fill_diagonal(want, 0.0)
         if not np.isfinite(want).all():
-            with pytest.raises(ValueError, match="distances must be finite"):
+            with pytest.raises(ConfigError, match=r"closure sample distance \(\d+,\d+\) overflows float64"):
                 sample_metric(g, s)
             return
         assert sample_metric(g, s).dist.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_sample_distances_beyond_float_range_are_refused(self, s):
+        """Leaves 1 and 2 of a 1e308 star are 2e308 apart: the first sample
+        pair beyond the float range is named, with or without edge samples."""
+        g = WeightedGraph(3, [(0, 1, 1e308), (0, 2, 1e308)])
+        with pytest.raises(ConfigError, match=r"^closure sample distance \(1,2\) overflows float64$"):
+            sample_metric(g, s)
 
     def test_single_vertex(self):
         est = sampled_conv_dimension(WeightedGraph(1, []), 3)

@@ -95,7 +95,7 @@ def assert_matches_oracles(m: FiniteMetric, eps: float) -> int:
     istar_of = scalar_istar(levels)
     sets = build_base_edge_sets(m, t, eps)
     pairs = [as_tuples(level) for level in sets]
-    assert pairs == scalar_base_edge_sets(t.scaled_dist, levels, cover_constant(eps))
+    assert pairs == scalar_base_edge_sets(m.dist * t.scale, levels, cover_constant(eps))
     directed = assign_directions(sets, t)
     assert as_tuples(directed) == scalar_directions(pairs, istar_of)
 
@@ -231,7 +231,7 @@ def test_candidate_count_is_the_pair_and_row_count(m):
     t = build_net_tree(m, 0.25)
     sets = build_base_edge_sets(m, t, 0.25)
     levels = scalar_net_tree(m, 0.25)[1]
-    pairs = scalar_base_edge_sets(t.scaled_dist, levels, cover_constant(0.25))
+    pairs = scalar_base_edge_sets(m.dist * t.scale, levels, cover_constant(0.25))
     count = sum(map(len, sets))
     assert count == sum(map(len, pairs))
     assert assign_directions(sets, t).shape == (count, 3)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,21 @@ class TestWeightedGraph:
         with pytest.raises(DisconnectedGraph) as err:
             shortest_path_metric(WeightedGraph(3, [(0, 1, 1.0)]))
         assert {err.value.rep_a, err.value.rep_b} == {0, 2}
+
+    @pytest.mark.parametrize(
+        "edges,pair",
+        [
+            ([(0, 1, 1.7976931348623157e308), (1, 2, 1e300)], "(0,2)"),
+            ([(0, 1, 1e308), (0, 2, 1e308)], "(1,2)"),
+        ],
+    )
+    def test_path_sums_beyond_float_range_are_refused(self, edges, pair):
+        """A shortest path whose length overflows float64 is a usage error
+        naming the first such pair i < j, and no metric is cached."""
+        g = WeightedGraph(3, edges)
+        with pytest.raises(ConfigError, match=rf"^shortest-path distance {re.escape(pair)} overflows float64$"):
+            shortest_path_metric(g)
+        assert g._metric is None
 
 
 # lengths whose sums round, so a row from another search order would show

@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,9 +68,10 @@ class TestBuild:
 
     def test_collinear_long_pair(self):
         """The rescaled {0,1,2} line realizes the 512 walk inside a build."""
-        t = build_net_tree(collinear_metric(), 0.25)
+        m = collinear_metric()
+        t = build_net_tree(m, 0.25)
         assert t.scale == 256.0
-        assert float(t.scaled_dist[0, 2]) == 512.0
+        assert float(m.dist[0, 2] * t.scale) == 512.0
         assert t.top_level == 9
         assert t.istar.tolist() == [9, 7, 8]
         assert t.labels(8) == [0, 2]
@@ -108,7 +110,8 @@ class TestBuild:
     def test_scaled_minimum_is_exact(self):
         m = FiniteMetric([[0.0, 0.7, 1.4], [0.7, 0.0, 0.7], [1.4, 0.7, 0.0]], validate=False)
         t = build_net_tree(m, 0.25)
-        assert float(np.min(t.scaled_dist[t.scaled_dist > 0])) == 256.0
+        S = m.dist * t.scale
+        assert float(np.min(S[S > 0])) == 256.0
 
 
 class TestAncestors:
@@ -143,7 +146,7 @@ class TestAncestors:
 
         m = random_euclidean(20, 2, 11)
         t = build_net_tree(m, 0.25)
-        S = t.scaled_dist
+        S = m.dist * t.scale
         for v in range(m.n):
             for i in range(t.top_level + 1):
                 anc = net_ancestor(t, v, i)
@@ -164,7 +167,7 @@ class TestValidate:
         # reroute point 2's level-8 parent onto the root's chain at level 9:
         # its own label disappears from level 8's children
         nets[8][1] = 1
-        bad = NetTree(nets, t.parents, t.scale, t.scaled_dist)
+        bad = NetTree(nets, t.parents, t.scale)
         report = validate_net_tree(bad, m)
         assert not report.ok
         assert report.clause in ("same-label child", "packing", "nesting")
@@ -172,14 +175,29 @@ class TestValidate:
     def test_tampered_scale_breaks_packing(self):
         m = collinear_metric()
         t = build_net_tree(m, 0.25)
-        bad = NetTree(copy.deepcopy(t.nets), copy.deepcopy(t.parents), t.scale / 4.0, t.scaled_dist / 4.0)
+        bad = NetTree(copy.deepcopy(t.nets), copy.deepcopy(t.parents), t.scale / 4.0)
         report = validate_net_tree(bad, m)
         assert not report.ok
+
+    def test_tree_keeps_no_distance_matrix(self):
+        """The tree holds labels, parents, istar and a scale: on 800 points
+        it retains well under the 5.1 MB of an 800 x 800 float64 matrix."""
+        from doubling import random_euclidean
+
+        m = random_euclidean(800, 2, 1)
+        tracemalloc.start()
+        try:
+            t = build_net_tree(m, 0.25)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert t.top_level > 0
+        assert retained < 1_000_000
 
     def test_truncated_tree_has_no_root(self):
         m = collinear_metric()
         t = build_net_tree(m, 0.25)
-        bad = NetTree(copy.deepcopy(t.nets[:-1]), copy.deepcopy(t.parents[:-1]), t.scale, t.scaled_dist)
+        bad = NetTree(copy.deepcopy(t.nets[:-1]), copy.deepcopy(t.parents[:-1]), t.scale)
         report = validate_net_tree(bad, m)
         assert not report.ok
         assert report.clause == "root"
@@ -208,6 +226,14 @@ class TestSerialization:
         p = tmp_path / "y.nettree"
         p.write_text("nettree 1 1.0\nnode 0 1 0 -\n")
         with pytest.raises(ValueError):
+            load_net_tree(str(p), two_point_metric())
+
+    def test_header_promising_more_levels_than_records_is_refused(self, tmp_path):
+        """Every level holds a node, so 10**12 levels over two records are
+        refused at the header, with no list built per promised level."""
+        p = tmp_path / "huge.nettree"
+        p.write_text("nettree 1000000000000 1.0\nnode 0 0 0 -\nnode 0 1 1 -\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:1: the header promises 1000000000000 levels over 2 node records$"):
             load_net_tree(str(p), two_point_metric())
 
     @pytest.mark.parametrize(

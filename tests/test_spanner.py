@@ -9,6 +9,7 @@ from doubling import (
     FiniteMetric,
     WeightedGraph,
     build_spanner,
+    complete_tree,
     exponential_star,
     lcp_metric,
     load_spanner,
@@ -17,7 +18,7 @@ from doubling import (
     shortest_path_metric,
 )
 from doubling import metric, spanner
-from doubling.net_tree import build_net_tree
+from doubling.net_tree import NetTree, build_net_tree
 from doubling.spanner import (
     assign_directions,
     build_base_edge_sets,
@@ -77,11 +78,45 @@ class TestBaseEdgeSets:
         t = build_net_tree(m, 0.25)
         assert all(s.size == 0 for s in build_base_edge_sets(m, t, 0.25))
 
+    @pytest.mark.parametrize("i", [1, 2, 5, 12])
+    def test_length_on_a_bound_takes_its_level_in_candidates_and_lifts(self, i):
+        """A scaled length of exactly C * 2**i closes level i's bracket, as
+        a candidate pair and as a lifted edge. The path 0 - 1 - 2 has its
+        smallest edge, 1, scaled to 2**8 at eps = 1/4, so the edge (0, 1) of
+        length 33 * 2**(i-6) scales to 132 * 2**i; its ends survive past
+        level i, where 2 has merged into 1."""
+        g = WeightedGraph(3, [(0, 1, 33.0 * 2.0 ** (i - 6)), (1, 2, 1.0)])
+        m = shortest_path_metric(g)
+        t = build_net_tree(m, 0.25)
+        assert m.dist[0, 1] * t.scale == cover_constant(0.25) * 2.0**i
+        sets = build_base_edge_sets(m, t, 0.25)
+        assert [level for level, pairs in enumerate(sets) if [0, 1] in pairs.tolist()] == [i]
+        lifts = complete_tree(g, 0.25).lifts
+        assert (lifts.u[0], lifts.v[0], lifts.level[0]) == (0, 1, i)
+
+    def test_pair_at_or_below_C_in_the_level_one_net_raises(self):
+        """Scaled by half the true scale, the uniform pairs sit at 128 <= C."""
+        m = uniform4()
+        t = build_net_tree(m, 0.25)
+        short = NetTree(t.nets, t.parents, t.scale / 2.0)
+        with pytest.raises(AssertionError, match=r"^edge \(0, 1\) of scaled length 128\.0 outside the level-1 bracket$"):
+            build_base_edge_sets(m, short, 0.25)
+
+    @pytest.mark.parametrize(
+        "level,labels", [(9, [1]), (8, [0, 0])], ids=["not nested", "repeated label"]
+    )
+    def test_levels_that_are_not_nested_sets_raise(self, level, labels):
+        """The levels are read as nested sets: a root that level 8 lacks, or
+        a label listed twice, is refused before any pair is placed."""
+        m = collinear3()
+        t = build_net_tree(m, 0.25)
+        nets = [net.copy() for net in t.nets]
+        nets[level] = np.array(labels)
+        with pytest.raises(AssertionError, match="not nested sets"):
+            build_base_edge_sets(m, NetTree(nets, t.parents, t.scale), 0.25)
+
     def test_every_pair_appears_once(self, lcp4_spanner):
-        m = lcp4_spanner.net_tree
-        sets = build_base_edge_sets(
-            FiniteMetric(m.scaled_dist / m.scale, validate=False), m, lcp4_spanner.eps
-        )
+        sets = build_base_edge_sets(lcp_metric(4), lcp4_spanner.net_tree, lcp4_spanner.eps)
         seen = [tuple(p) for s in sets for p in s.tolist()]
         assert len(seen) == len(set(seen))
 
@@ -163,10 +198,11 @@ class TestBuildSpanner:
     def test_level_brackets_hold_for_origins(self, lcp4_spanner):
         """Each record's originating pair sits in its level's length window."""
         t = lcp4_spanner.net_tree
+        S = lcp_metric(4).dist * t.scale
         C = cover_constant(lcp4_spanner.eps)
         for rec in lcp4_spanner.edges:
             a, b = rec.origin
-            d = float(t.scaled_dist[a, b])
+            d = float(S[a, b])
             assert C * 2.0 ** (rec.level - 1) < d <= C * 2.0**rec.level
 
     def test_star_degree_saturates_at_threshold(self):
@@ -217,7 +253,7 @@ def traced_peak(build) -> int:
 
 class TestBuildMemory:
     def test_planar_build_peak_in_matrices(self):
-        """The n = 400 planar build peaks near 8.7 n x n float64 arrays
+        """The n = 400 planar build peaks near 7.2 n x n float64 arrays
         beyond its input (19.7 when donation held about thirty temporaries
         the length of the candidate list)."""
         m = random_euclidean(400, 2, 1)
