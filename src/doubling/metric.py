@@ -12,14 +12,15 @@ import functools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import cover
-from .errors import ConfigError, DisconnectedGraph, SizeMismatch
+from .errors import ConfigError, DisconnectedGraph, InvalidPoint, SizeMismatch
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "REL_TOL",
@@ -56,6 +57,20 @@ EVENT_BLOCK_ELEMENTS = 1 << 11
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _dijkstra(csgraph: csr_matrix, **kwargs) -> np.ndarray:
+    """scipy's ``dijkstra``, imported on first call so ``import doubling`` loads numpy only."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(csgraph, **kwargs)
+
+
+def _connected_components(csgraph: csr_matrix, **kwargs) -> tuple[int, np.ndarray]:
+    """scipy's ``connected_components``, imported on first call like :func:`_dijkstra`."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(csgraph, **kwargs)
 
 
 def _refuse_beyond_memory(n: int, what: str, matrices: int = 4) -> None:
@@ -288,6 +303,8 @@ class WeightedGraph:
         u's larger neighbours, and a stable argsort of v lists every vertex's
         smaller neighbours in ascending order. Each entry is written straight
         into its slot, in the index type scipy would pick."""
+        from scipy.sparse import csr_matrix
+
         n, m = self.n_vertices, self.w.size
         index = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
         smaller = np.bincount(self.v, minlength=n)  # neighbours below each vertex
@@ -316,7 +333,7 @@ class WeightedGraph:
     def component_labels(self) -> np.ndarray:
         """Connected-component label of every vertex, read-only: one
         ``connected_components`` run on :attr:`csr` per graph."""
-        _, labels = connected_components(self.csr, directed=False)
+        _, labels = _connected_components(self.csr, directed=False)
         labels.setflags(write=False)
         return labels
 
@@ -364,7 +381,7 @@ def shortest_path_metric(g: WeightedGraph) -> FiniteMetric:
     _require_connected(g)
     # the CSR already holds both directions of every edge, so the directed
     # search sees the same candidate sums as an undirected one
-    rows = dijkstra(g.csr, directed=True)
+    rows = _dijkstra(g.csr, directed=True)
     rows.setflags(write=False)
     # Dijkstra from each source is symmetric up to float rounding; make it exact.
     D = np.minimum(rows, rows.T)
@@ -389,10 +406,16 @@ def distance_rows(g: WeightedGraph, sources: Sequence[int] | np.ndarray) -> np.n
     while the graph holds at most ``ROW_BLOCK`` of them in all, so a caller
     that streams all n rows (in blocks of ``ROW_BLOCK`` sources) keeps at
     most one block, while a few repeated sources are searched once. Raises
-    :class:`DisconnectedGraph` as :func:`shortest_path_metric` does.
+    :class:`InvalidPoint`, naming the first source outside 0..n-1, before
+    any search, and :class:`DisconnectedGraph` as
+    :func:`shortest_path_metric` does.
     """
-    _require_connected(g)
     sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+    outside = (sources < 0) | (sources >= g.n_vertices)
+    if outside.any():
+        bad = int(sources[outside.argmax()])
+        raise InvalidPoint(f"vertex {bad} out of range for {g.n_vertices} vertices")
+    _require_connected(g)
     if g._all_rows is not None:
         out = g._all_rows[sources]
     else:
@@ -400,7 +423,7 @@ def distance_rows(g: WeightedGraph, sources: Sequence[int] | np.ndarray) -> np.n
         kept = g._kept_rows
         new = sorted(set(wanted).difference(kept))
         if new:
-            rows = dijkstra(g.csr, directed=True, indices=new).reshape(len(new), g.n_vertices)
+            rows = _dijkstra(g.csr, directed=True, indices=new).reshape(len(new), g.n_vertices)
             rows.setflags(write=False)
             found = dict(zip(new, rows))
             if len(kept) + len(new) <= ROW_BLOCK:

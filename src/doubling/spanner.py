@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import VerificationError
 from .metric import (
@@ -25,6 +24,7 @@ from .metric import (
     StretchReport,
     WeightedGraph,
     _data_lines,
+    _dijkstra,
     _parse_graph_lines,
     _refuse_beyond_memory,
     _write_graph,
@@ -361,7 +361,7 @@ def prune_edges(raw: Spanner, m: FiniteMetric) -> Spanner:
                 keep(rows[at : at + 1])
                 continue
             bound = float(limit[k] * (1.0 + REL_TOL))
-            dist, pred = dijkstra(g.csr, indices=xa, return_predecessors=True, limit=bound)
+            dist, pred = _dijkstra(g.csr, indices=xa, return_predecessors=True, limit=bound)
             if not dist[yb] <= bound:
                 raise VerificationError(
                     f"the raw spanner has no path from {xa} to {yb} within {bound!r}"

@@ -3,6 +3,8 @@ import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -312,7 +314,7 @@ class TestMain:
         n = 200_000
         src = tmp_path / "path.graph"
         src.write_text(f"graph {n}\n" + "".join(f"e {i} {i + 1} 1.0\n" for i in range(n - 1)))
-        monkeypatch.setattr(metric, "dijkstra", lambda *a, **k: pytest.fail("searched"))
+        monkeypatch.setattr(metric, "_dijkstra", lambda *a, **k: pytest.fail("searched"))
         monkeypatch.setattr(metric, "_require_connected", lambda *a: pytest.fail("checked"))
         assert main(["complete-tree", "--input", str(src), "--epsilon", "0.25"]) == 2
         assert "memory" in capsys.readouterr().err
@@ -529,6 +531,63 @@ def test_a_malformed_saved_file_is_a_usage_error(case):
             code = main(["dim", "--input", path])
     assert code == 2, text
     assert err.getvalue().startswith(f"error: {path}:") and "Traceback" not in err.getvalue()
+
+
+def fresh_python(cwd, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports ``doubling``
+    from this checkout; fails on a nonzero exit."""
+    src = os.path.dirname(os.path.dirname(metric.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+
+
+# Runs each argv list through ``main`` and prints the exit codes, then the
+# scipy modules loaded by the end.
+MAIN_THEN_LIST_SCIPY = """
+import contextlib, io, json, sys
+from doubling.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+class TestColdStart:
+    def test_commands_without_a_graph_search_load_no_scipy(self, tmp_path):
+        commands = [
+            ["gen", "--family", "euclidean-random", "--n", "30", "--seed", "1", "--output", "pts.metric"],
+            ["gen", "--family", "lcp-hypercube", "--p", "2", "--output", "prefix.metric"],
+            ["gen", "--family", "exponential-star", "--n", "16", "--output", "star.graph"],
+            ["gen", "--family", "random-tree", "--n", "30", "--seed", "1", "--output", "tree.graph"],
+            ["dim", "--input", "pts.metric", "--output", "run"],
+            ["report", "--inputs", "run.json", "--output", "table.tsv"],
+            ["--help"],
+            ["dim"],  # no --input: argparse's usage error
+            ["dim", "--input", "missing.metric"],
+        ]
+        proc = fresh_python(tmp_path, "-c", MAIN_THEN_LIST_SCIPY, json.dumps(commands))
+        codes, loaded = json.loads(proc.stdout)
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2]
+        assert loaded == []
+        assert (tmp_path / "table.tsv").exists()
+
+    def test_dim_on_a_graph_in_a_fresh_process_matches_in_process(self, tmp_path):
+        """The first search imports scipy inside ``dim``; the report it
+        prints is the in-process one outside its timings."""
+        graph = str(tmp_path / "tree.graph")
+        save_graph(random_tree(100, 1), graph)
+        fresh = fresh_python(tmp_path, "-m", "doubling.cli", "dim", "--input", graph)
+        report, passed = run(RunConfig(pipeline="dim", input_path=graph))
+        assert passed
+        assert fresh.stdout.split("[timings]\n")[0] == report.hashable_text()
 
 
 class TestReportRendering:

@@ -13,6 +13,7 @@ from doubling import (
     ConfigError,
     DisconnectedGraph,
     FiniteMetric,
+    InvalidPoint,
     SizeMismatch,
     WeightedGraph,
     distance_rows,
@@ -197,9 +198,9 @@ class TestWeightedGraph:
         """Every ``distance_rows`` call checks connectivity; the labels behind
         the check are computed once per graph and cannot be written."""
         runs = []
-        labelled = metric.connected_components
+        labelled = metric._connected_components
         monkeypatch.setattr(
-            metric, "connected_components", lambda *a, **k: runs.append(1) or labelled(*a, **k)
+            metric, "_connected_components", lambda *a, **k: runs.append(1) or labelled(*a, **k)
         )
         g = random_tree(12, 3)
         for sources in ([0], [1, 2], range(12), []):
@@ -342,6 +343,26 @@ class TestDistanceRows:
         for row in g._kept_rows.values():
             with pytest.raises(ValueError):
                 row[0] = 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 50), sources=st.lists(st.integers(-30, 30), max_size=6))
+    def test_sources_outside_the_graph_are_refused_before_any_search(self, n, seed, sources):
+        """A source below 0 or at least n is named, with n, before the
+        connectivity check or any search, whether or not the metric is
+        cached; one inside the graph is served as before."""
+        g = random_tree(n, seed)
+        bad = [s for s in sources if not 0 <= s < n]
+        for cached in (False, True):
+            if cached:
+                shortest_path_metric(g)
+            if not bad:
+                assert distance_rows(g, sources).shape == (len(sources), n)
+                continue
+            message = f"vertex {bad[0]} out of range for {n} vertices"
+            with pytest.raises(InvalidPoint, match=f"^{re.escape(message)}$"):
+                distance_rows(g, sources)
+            if not cached:
+                assert "component_labels" not in vars(g) and g._kept_rows == {}
 
 
 class TestGreedyNet:

@@ -122,7 +122,7 @@ def test_hits_served_by_a_raw_path_walk_it(monkeypatch):
         sources.append(kwargs["indices"])
         return dijkstra(*args, **kwargs)
 
-    monkeypatch.setattr(spanner, "dijkstra", counted)
+    monkeypatch.setattr(spanner, "_dijkstra", counted)
     assert_prunes_like_the_loop(random_euclidean(40, 2, 4), 0.25)
     assert len(sources) == 4
 
